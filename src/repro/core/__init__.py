@@ -3,7 +3,7 @@
 - `vae` / `spark_train` / `encode`: unsupervised representation learning (§III)
 - `wasserstein`: squared 2-Wasserstein between diagonal Gaussians (Eq. 3)
 - `siamese`: supervised matching in the latent space (§IV)
-- `lsh`: top-k nearest-neighbour blocking over mu vectors (§V-A / §VI-B)
+- `lsh`: exact W2 top-k neighbour blocking (§V-A / §VI-B)
 - `kde` / `active`: active learning in the latent space (§V)
 - `metrics`: the paper's P/R/F1 protocols (§VI-A.2, §VI-B)
 """

@@ -1,6 +1,6 @@
 """Active learning in the latent space (paper §V, Algorithms 1 and 2).
 
-Algorithm 1 (`al_bootstrap`) builds the initial pools from the LSH
+Algorithm 1 (`al_bootstrap`) builds the initial pools from the W2
 top-k candidate pairs: smallest-W2 pairs become L+, largest-W2 pairs
 become L-, everything else is the unlabeled pool U. The paper notes
 (Table VIII †) that some domains' bootstrap positives contained false
@@ -25,6 +25,7 @@ from repro.core.config import VaerConfig
 from repro.core.kde import GaussianKDE
 from repro.core.metrics import PRF, matcher_prf
 from repro.core.siamese import SiameseMatcher
+from repro.core.wasserstein import euclidean_sq_means
 
 
 @dataclass
@@ -82,7 +83,7 @@ class DomainTensors:
 
     def pair_euclid(self, id_a: np.ndarray, id_b: np.ndarray) -> np.ndarray:
         mu_s, _, mu_t, _ = self.pair_latents(id_a, id_b)
-        return np.sqrt(((mu_s - mu_t) ** 2).sum(axis=1))
+        return np.sqrt(euclidean_sq_means(mu_s, mu_t))
 
 
 class OracleLabeler:
@@ -295,7 +296,7 @@ class ActiveLearner:
         n = min(self.cfg.kde_samples_per_pair, max(1, 4000 // len(ida)))
         zs = mu_s[None] + sg_s[None] * self.rng.standard_normal((n, *mu_s.shape))
         zt = mu_t[None] + sg_t[None] * self.rng.standard_normal((n, *mu_t.shape))
-        d_plus = np.sqrt(((zs - zt) ** 2).sum(axis=2)).ravel()
+        d_plus = np.sqrt(euclidean_sq_means(zs, zt)).ravel()
         return GaussianKDE(d_plus)
 
     # ---- one Algorithm 2 iteration -----------------------------------------

@@ -8,7 +8,7 @@ through the encoder with `mapInPandas`.
 Representations are stored *flattened*: ``mu``/``sigma`` are arrays of
 length arity*latent — the concatenation of the per-attribute vectors.
 W2 over the concatenation equals the sum of per-attribute W2 terms, so
-all downstream distance math (Eq. 3, the Distance layer, LSH-on-means)
+all downstream distance math (Eq. 3, the Distance layer, top-k blocking)
 works directly on the flat form.
 """
 from __future__ import annotations

@@ -1,20 +1,25 @@
-"""Top-k nearest-neighbour search over entity representations (§V-A, §VI-B).
+"""Top-k neighbour blocking over entity representations (§V-A, §VI-B).
 
-The paper searches on ``mu`` vectors with Euclidean LSH (licensed by the
-W2 <-> Euclidean-on-means correlation of §V-A) and re-orders results by
-the full W2 distance. We implement the same two-stage scheme as a
-broadcast block-nearest-neighbour join:
+W2^2 between diagonal Gaussians (Eq. 3) is the squared Euclidean distance
+between the concatenations ``[mu | sigma]``, so the W2 top-k of every
+tuple is found with matrix products, with no sketch or approximation:
 
-  stage 1 (candidates): project mu to ``proj_dim`` dimensions with a
-    seeded Gaussian random projection (a p-stable LSH sketch), broadcast
-    the smaller side's sketch matrix, and scan the other side's
-    partitions with numpy top-``k*oversample`` lookups;
-  stage 2 (re-rank): join candidates back to the full (mu, sigma)
-    vectors, compute exact W2 per pair in `mapInPandas`, and keep the
-    top-k per side with a window.
+  1. The smaller table (the *index*) is collected as one ``[mu | sigma]``
+     matrix sorted by id and broadcast; the larger table is the *probe*.
+  2. One `mapInPandas` over the probe side computes, per Arrow batch and
+     in row blocks, ``d2 = |q|^2 - 2 Q X^T + |x|^2``. It emits the top-k of
+     every probe row and, for every index row, its top-k among the
+     batch's probe rows, flagging the pairs in a probe row's own top-k.
+     Candidates within the expansion's rounding bound of the k-th
+     smallest ``d2`` are re-scored with `w2_squared` (direct
+     differences), so ranking uses true W2 with ties broken by the
+     other side's id.
+  3. One ``groupBy`` over the index id keeps the flagged pairs plus each
+     index row's top-k. A row's global top-k lies inside the union of its
+     per-batch top-k lists, so nothing is missed.
 
-``exact=True`` skips the sketch (projection = identity, oversample = all
-candidates), giving the brute-force oracle used by tests.
+The module keeps its historical name: the paper blocks with LSH, which a
+search without approximation makes unnecessary at Table II scale.
 """
 from __future__ import annotations
 
@@ -22,141 +27,126 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.wasserstein import w2_squared
 
-def _project(X: np.ndarray, proj_dim: int, seed: int) -> np.ndarray:
-    d = X.shape[1]
-    if proj_dim >= d:
-        return X.astype(np.float32)
-    R = np.random.default_rng(seed).normal(0, 1.0 / np.sqrt(proj_dim), (d, proj_dim))
-    return (X @ R).astype(np.float32)
+_BLOCK_CELLS = 1 << 23  # d2 entries per GEMM block (64 MB of float64)
+_PAIR_CHUNK = 2048  # pairs per direct-difference re-score chunk
 
 
-def _candidates_one_direction(
-    reps: DataFrame,
-    probe_table: str,
-    index_pdf: pd.DataFrame,
-    *,
-    n_cand: int,
-    proj_dim: int,
-    seed: int,
-) -> DataFrame:
-    """Scan ``probe_table`` partitions against the broadcast index sketch."""
+def _matrix(pdf: pd.DataFrame) -> np.ndarray:
+    """Rows of ``[mu | sigma]``."""
+    return np.hstack([np.stack(pdf["mu"].to_numpy()), np.stack(pdf["sigma"].to_numpy())])
+
+
+def _w2(Q: np.ndarray, X: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """W2 of the pairs (Q[r], X[c]) by direct differences."""
+    h = Q.shape[1] // 2
+    out = np.empty(len(r))
+    for s in range(0, len(r), _PAIR_CHUNK):
+        q, x = Q[r[s : s + _PAIR_CHUNK]], X[c[s : s + _PAIR_CHUNK]]
+        out[s : s + _PAIR_CHUNK] = w2_squared(q[:, :h], q[:, h:], x[:, :h], x[:, h:])
+    return out
+
+
+def _kth(G: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """k-th smallest entry along ``axis`` (the largest if there are fewer)."""
+    k = min(k, G.shape[axis])
+    return np.partition(G, k - 1, axis=axis).take(k - 1, axis=axis)
+
+
+def _ranks(order: np.ndarray, grp: np.ndarray) -> np.ndarray:
+    """Rank of each entry within its group, for ``order`` sorted by group."""
+    gs = grp[order]
+    start = np.flatnonzero(np.r_[True, gs[1:] != gs[:-1]])
+    rank = np.empty(len(grp), dtype=np.int64)
+    rank[order] = np.arange(len(gs)) - np.repeat(start, np.diff(np.r_[start, len(gs)]))
+    return rank
+
+
+def _near(grp: np.ndarray, g: np.ndarray, k: int, slack: np.ndarray) -> np.ndarray:
+    """Candidates within ``slack`` of their group's k-th smallest ``g``:
+    a superset of the group's true W2 top-k, ties included."""
+    top = _ranks(np.lexsort((g, grp)), grp) < k
+    kth = np.full(len(slack), -np.inf)
+    np.maximum.at(kth, grp[top], g[top])
+    return g <= kth[grp] + slack[grp]
+
+
+def _first_k(grp: np.ndarray, w2: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
+    """The k best entries of each group, ranked by (w2, tie)."""
+    return _ranks(np.lexsort((tie, w2, grp)), grp) < k
+
+
+def topk_pairs(reps: DataFrame, *, k: int = 10) -> DataFrame:
+    """Cross-table pairs in the W2 top-k of *either* side, computed without
+    approximation.
+
+    Returns ``(id_a, id_b, w2)`` — the §VI-B evaluation protocol and the
+    Algorithm 1 candidate pool. Within a row's top-k, W2 ties are broken
+    by the other side's id. ``reps`` must carry (id, table in {'a','b'},
+    mu, sigma).
+    """
     spark = reps.sparkSession
-    idx_ids = index_pdf["id"].to_numpy()
-    idx_proj = _project(np.stack(index_pdf["mu"].to_numpy()), proj_dim, seed)
-    idx_sq = (idx_proj**2).sum(axis=1)
-    b = spark.sparkContext.broadcast((idx_ids, idx_proj, idx_sq))
-    probe_is_a = probe_table == "a"
+    n = dict(reps.groupBy("table").count().collect())
+    if not n.get("a") or not n.get("b"):
+        return spark.createDataFrame([], "id_a long, id_b long, w2 double")
+    index, probe = ("a", "b") if n["a"] <= n["b"] else ("b", "a")
+    index_pdf = (
+        reps.where(F.col("table") == index).select("id", "mu", "sigma").toPandas().sort_values("id")
+    )
+    X = _matrix(index_pdf)
+    b = spark.sparkContext.broadcast((index_pdf["id"].to_numpy(), X, (X**2).sum(axis=1)))
 
     def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        ids_i, P_i, sq_i = b.value
-        m = min(n_cand, len(ids_i))
+        ids_x, X, sq_x = b.value
+        # Bound on the rounding error of the d2 expansion, relative to
+        # |q|^2 + |x|^2, doubled: candidates within it of the k-th smallest
+        # d2 contain every pair of the true W2 top-k.
+        rel = 8.0 * (X.shape[1] + 4) * np.finfo(np.float64).eps
+        step = max(1, _BLOCK_CELLS // len(X))
         for pdf in it:
             if not len(pdf):
                 continue
-            Q = _project(np.stack(pdf["mu"].to_numpy()), proj_dim, seed)
-            # Squared Euclidean via the expansion; argpartition for top-m.
-            d2 = (Q**2).sum(axis=1)[:, None] - 2.0 * (Q @ P_i.T) + sq_i[None, :]
-            top = np.argpartition(d2, m - 1, axis=1)[:, :m]
-            probe_ids = pdf["id"].to_numpy()
-            pid = np.repeat(probe_ids, m)
-            nid = ids_i[top.ravel()]
+            ids_q = pdf["id"].to_numpy()
+            Q = _matrix(pdf)
+            sq_q = (Q**2).sum(axis=1)
+            slack_q = rel * (sq_q + sq_x.max())
+            slack_x = rel * (sq_q.max() + sq_x)
+            rs, cs, gs = [], [], []
+            for s in range(0, len(Q), step):
+                G = sq_q[s : s + step, None] - 2.0 * (Q[s : s + step] @ X.T) + sq_x
+                near = (G <= (_kth(G, k, 1) + slack_q[s : s + step])[:, None]) | (
+                    G <= _kth(G, k, 0) + slack_x
+                )
+                r, c = np.nonzero(near)
+                rs.append(r + s)
+                cs.append(c)
+                gs.append(G[r, c])
+            r, c, g = np.concatenate(rs), np.concatenate(cs), np.concatenate(gs)
+            sel = _near(r, g, k, slack_q) | _near(c, g, k, slack_x)
+            r, c = r[sel], c[sel]
+            w2 = _w2(Q, X, r, c)
+            top = _first_k(r, w2, c, k)  # c follows index id order
+            keep = top | _first_k(c, w2, ids_q[r], k)
             yield pd.DataFrame(
-                {
-                    "id_a": pid if probe_is_a else nid,
-                    "id_b": nid if probe_is_a else pid,
-                }
+                {"probe": ids_q[r[keep]], "idx": ids_x[c[keep]], "w2": w2[keep], "top": top[keep]}
             )
 
-    probe = reps.where(F.col("table") == probe_table).select("id", "mu")
-    return probe.mapInPandas(part, schema="id_a long, id_b long")
-
-
-def _w2_pairs(pairs_with_vecs: DataFrame) -> DataFrame:
-    """Attach exact W2 to joined pairs, computed vectorised per partition."""
-
-    def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in it:
-            if not len(pdf):
-                continue
-            mu_a = np.stack(pdf["mu_a"].to_numpy())
-            mu_b = np.stack(pdf["mu_b"].to_numpy())
-            sg_a = np.stack(pdf["sigma_a"].to_numpy())
-            sg_b = np.stack(pdf["sigma_b"].to_numpy())
-            w2 = ((mu_a - mu_b) ** 2).sum(1) + ((sg_a - sg_b) ** 2).sum(1)
-            yield pd.DataFrame(
-                {"id_a": pdf["id_a"], "id_b": pdf["id_b"], "w2": w2}
-            )
-
-    return pairs_with_vecs.mapInPandas(
-        part, schema="id_a long, id_b long, w2 double"
+    cand = (
+        reps.where(F.col("table") == probe)
+        .select("id", "mu", "sigma")
+        .mapInPandas(part, schema="probe long, idx long, w2 double, top boolean")
     )
-
-
-def pair_w2(reps: DataFrame, pairs: DataFrame) -> DataFrame:
-    """Join arbitrary (id_a, id_b) pairs to representations and compute W2.
-
-    Extra columns of ``pairs`` (e.g. ``label``) are preserved.
-    """
-    a = reps.where(F.col("table") == "a").select(
-        F.col("id").alias("id_a"),
-        F.col("mu").alias("mu_a"),
-        F.col("sigma").alias("sigma_a"),
+    # Per index row: sort by (w2, probe id), keep the first k and the flagged.
+    ranked = cand.groupBy("idx").agg(
+        F.sort_array(F.collect_list(F.struct("w2", "probe", "top"))).alias("c")
     )
-    b = reps.where(F.col("table") == "b").select(
-        F.col("id").alias("id_b"),
-        F.col("mu").alias("mu_b"),
-        F.col("sigma").alias("sigma_b"),
+    kept = ranked.select(
+        "idx", F.explode(F.filter("c", lambda p, i: p["top"] | (i < k))).alias("p")
     )
-    joined = pairs.join(a, "id_a").join(b, "id_b")
-    extra = [c for c in pairs.columns if c not in ("id_a", "id_b")]
-    w2 = _w2_pairs(
-        joined.select("id_a", "id_b", "mu_a", "mu_b", "sigma_a", "sigma_b")
-    )
-    if extra:
-        w2 = w2.join(pairs, ["id_a", "id_b"])
-    return w2
-
-
-def topk_pairs(
-    reps: DataFrame,
-    *,
-    k: int = 10,
-    exact: bool = False,
-    proj_dim: int = 64,
-    oversample: int = 3,
-    seed: int = 42,
-) -> DataFrame:
-    """Cross-table top-k neighbour pairs re-ranked by W2.
-
-    Returns ``(id_a, id_b, w2)`` where the pair is in the W2 top-k of
-    *either* side — the §VI-B evaluation protocol and the Algorithm 1
-    candidate pool. ``reps`` must carry (id, table in {'a','b'}, mu, sigma).
-    """
-    b_pdf = reps.where(F.col("table") == "b").select("id", "mu").toPandas()
-    a_pdf = reps.where(F.col("table") == "a").select("id", "mu").toPandas()
-    if exact:
-        n_cand = max(len(a_pdf), len(b_pdf))
-        proj_dim = 1 << 30  # identity projection
-    else:
-        n_cand = k * oversample
-    cand = _candidates_one_direction(
-        reps, "a", b_pdf, n_cand=n_cand, proj_dim=proj_dim, seed=seed
-    ).unionByName(
-        _candidates_one_direction(
-            reps, "b", a_pdf, n_cand=n_cand, proj_dim=proj_dim, seed=seed
-        )
-    ).dropDuplicates(["id_a", "id_b"])
-
-    scored = pair_w2(reps, cand)
-    wa = Window.partitionBy("id_a").orderBy(F.col("w2").asc(), F.col("id_b").asc())
-    wb = Window.partitionBy("id_b").orderBy(F.col("w2").asc(), F.col("id_a").asc())
-    ranked = scored.withColumn("ra", F.row_number().over(wa)).withColumn(
-        "rb", F.row_number().over(wb)
-    )
-    return ranked.where((F.col("ra") <= k) | (F.col("rb") <= k)).select(
-        "id_a", "id_b", "w2"
-    )
+    probe_id, index_id = F.col("p.probe"), F.col("idx")
+    id_a, id_b = (probe_id, index_id) if probe == "a" else (index_id, probe_id)
+    return kept.select(id_a.alias("id_a"), id_b.alias("id_b"), F.col("p.w2").alias("w2"))

@@ -27,7 +27,7 @@ from repro.ir import build_irs
 class RepresentationResult:
     vae: VAE
     irs_df: DataFrame  # cached: (id, table, irs)
-    reps_df: DataFrame  # (id, table, mu, sigma)
+    reps_df: DataFrame  # cached: (id, table, mu, sigma)
     ir_seconds: float
     train_seconds: float
 
@@ -78,7 +78,8 @@ def learn_representations(
         )
         train_seconds = time.perf_counter() - t2
 
-    reps_df = encode_representations(irs_df, vae.encoder.state())
+    # Cached so blocking and `domain_tensors` reuse one encoding pass.
+    reps_df = encode_representations(irs_df, vae.encoder.state()).cache()
     return RepresentationResult(
         vae=vae,
         irs_df=irs_df,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.vae import Encoder
+from repro.core.wasserstein import w2_vector
 from repro.nn.adam import Adam
 from repro.nn.mlp import MLPClassifier
 
@@ -54,7 +55,7 @@ class SiameseMatcher:
         mu = mu.reshape(2, B, m, k)
         sigma = sigma.reshape(2, B, m, k)
         logvar = logvar.reshape(2, B, m, k)
-        dvec = (mu[0] - mu[1]) ** 2 + (sigma[0] - sigma[1]) ** 2  # (B, m, k)
+        dvec = w2_vector(mu[0], sigma[0], mu[1], sigma[1])  # (B, m, k)
         p = self.mlp.forward(dvec.reshape(B, m * k))
         self._cache = dict(mu=mu, sigma=sigma, dvec=dvec, B=B, m=m)
         return p

@@ -37,5 +37,6 @@ def w2_vector(
 
 
 def euclidean_sq_means(mu_p: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of means — the LSH surrogate of §V-A."""
+    """Squared Euclidean distance of means — the LSH surrogate of §V-A and
+    the sampled distance of Eq. 6."""
     return ((mu_p - mu_q) ** 2).sum(axis=-1)

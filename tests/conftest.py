@@ -41,6 +41,7 @@ def tiny_rep(spark, tiny_domain, small_cfg):
     rep = learn_representations(tiny_domain, kind="lsa", cfg=small_cfg, seed=0)
     yield rep
     rep.irs_df.unpersist()
+    rep.reps_df.unpersist()
 
 
 @pytest.fixture(scope="session")

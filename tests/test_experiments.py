@@ -46,7 +46,7 @@ class TestTable4:
     def test_structure_and_sanity(self, spark):
         df = table4_representation(
             spark, sf=_SF, domains=("restaurants",), kinds=("lsa", "bert"),
-            cfg=_CFG, exact=True,
+            cfg=_CFG,
         )
         assert len(df) == 2
         for col in ("P_ir", "R_ir", "F1_ir", "P_vaer", "R_vaer", "F1_vaer"):
@@ -82,7 +82,7 @@ class TestTable7:
 
     def test_transfer_deltas_bounded(self, spark):
         df = table7_transfer(
-            spark, sf=_SF, domains=("restaurants",), cfg=_CFG, exact=True,
+            spark, sf=_SF, domains=("restaurants",), cfg=_CFG,
         )
         row = df.iloc[0]
         assert np.isfinite(row["recall_delta"]) and np.isfinite(row["f1_delta"])
@@ -93,7 +93,7 @@ class TestTable8:
     def test_structure_and_budget(self, spark):
         df = table8_active_learning(
             spark, sf=_SF, domains=("restaurants",), cfg=_CFG,
-            label_budget=250, exact=True,
+            label_budget=250,
         )
         row = df.iloc[0]
         assert row["budget"] == max(24, round(250 * _SF))

@@ -1,13 +1,12 @@
-"""Tests for top-k neighbour search / blocking (`repro.core.lsh`)."""
+"""Tests for exact top-k neighbour blocking (`repro.core.lsh`)."""
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.lsh import pair_w2, topk_pairs
+from repro.core.lsh import topk_pairs
 from repro.core.wasserstein import w2_squared
-from repro.oracle import assert_equivalent
 
 
 def _reps_df(spark, n_a=12, n_b=15, dim=6, seed=0):
@@ -21,120 +20,113 @@ def _reps_df(spark, n_a=12, n_b=15, dim=6, seed=0):
     return spark.createDataFrame(pd.DataFrame(rows)), rows
 
 
-def _brute_topk(rows, k):
-    a = [r for r in rows if r["table"] == "a"]
-    b = [r for r in rows if r["table"] == "b"]
-    d = np.zeros((len(a), len(b)))
-    for i, ra in enumerate(a):
-        for j, rb in enumerate(b):
-            d[i, j] = w2_squared(
-                np.array(ra["mu"]), np.array(ra["sigma"]),
-                np.array(rb["mu"]), np.array(rb["sigma"]),
-            )
-    keep = set()
-    for i in range(len(a)):
-        for j in np.argsort(d[i], kind="stable")[:k]:
-            keep.add((a[i]["id"], b[j]["id"]))
-    for j in range(len(b)):
-        for i in np.argsort(d[:, j], kind="stable")[:k]:
-            keep.add((a[i]["id"], b[j]["id"]))
-    return keep, d
+def _sides(rows):
+    """Per table: (ids, mu, sigma) arrays from `_reps_df`-style rows."""
+    out = []
+    for t in ("a", "b"):
+        rs = [r for r in rows if r["table"] == t]
+        out += [
+            np.array([r["id"] for r in rs]),
+            np.array([r["mu"] for r in rs]),
+            np.array([r["sigma"] for r in rs]),
+        ]
+    return out
+
+
+def _brute(ids_a, mu_a, sg_a, ids_b, mu_b, sg_b, k):
+    """Numpy brute force: {(id_a, id_b): w2} over the W2 top-k of each
+    side, ties broken by the other side's id."""
+    d = w2_squared(mu_a[:, None], sg_a[:, None], mu_b[None], sg_b[None])
+    keep = {}
+    for i in range(len(ids_a)):
+        for j in np.lexsort((ids_b, d[i]))[:k]:
+            keep[(ids_a[i], ids_b[j])] = d[i, j]
+    for j in range(len(ids_b)):
+        for i in np.lexsort((ids_a, d[:, j]))[:k]:
+            keep[(ids_a[i], ids_b[j])] = d[i, j]
+    return keep
+
+
+def _got(df, k):
+    return {(r["id_a"], r["id_b"]): r["w2"] for r in topk_pairs(df, k=k).collect()}
 
 
 class TestExactTopK:
+    # |A| < |B|: table a is broadcast (see TestExactTopKSwapped).
+    n_a, n_b = 12, 15
+
+    def _df(self, spark, seed):
+        return _reps_df(spark, n_a=self.n_a, n_b=self.n_b, seed=seed)
+
     def test_matches_brute_force(self, spark):
-        df, rows = _reps_df(spark)
-        got = {
-            (r["id_a"], r["id_b"])
-            for r in topk_pairs(df, k=3, exact=True).collect()
-        }
-        want, _ = _brute_topk(rows, 3)
-        assert got == want
+        df, rows = self._df(spark, 0)
+        assert set(_got(df, 3)) == set(_brute(*_sides(rows), 3))
 
     def test_w2_values_correct(self, spark):
-        df, rows = _reps_df(spark, seed=1)
-        _, d = _brute_topk(rows, 3)
-        for r in topk_pairs(df, k=3, exact=True).collect():
-            assert r["w2"] == pytest.approx(d[r["id_a"], r["id_b"]], rel=1e-9)
+        df, rows = self._df(spark, 1)
+        want = _brute(*_sides(rows), 3)
+        for pair, w2 in _got(df, 3).items():
+            assert w2 == pytest.approx(want[pair], rel=1e-9)
 
     def test_k_bounds_per_side_membership(self, spark):
         """Every returned pair must be within the exact W2 top-k of at
         least one of its sides."""
-        df, rows = _reps_df(spark, seed=2)
-        want, _ = _brute_topk(rows, 2)
-        got = {
-            (r["id_a"], r["id_b"])
-            for r in topk_pairs(df, k=2, exact=True).collect()
-        }
-        assert got <= want and got
+        df, rows = self._df(spark, 2)
+        got = set(_got(df, 2))
+        assert got <= set(_brute(*_sides(rows), 2)) and got
 
     def test_all_tuples_covered(self, spark):
-        df, _ = _reps_df(spark, seed=3)
-        pdf = topk_pairs(df, k=1, exact=True).toPandas()
-        assert set(pdf["id_a"]) == set(range(12))
-        assert set(pdf["id_b"]) == set(range(15))
+        df, _ = self._df(spark, 3)
+        pdf = topk_pairs(df, k=1).toPandas()
+        assert set(pdf["id_a"]) == set(range(self.n_a))
+        assert set(pdf["id_b"]) == set(range(self.n_b))
 
 
-class TestApproxTopK:
-    def test_high_recall_vs_exact(self, spark):
-        df, rows = _reps_df(spark, n_a=40, n_b=60, dim=16, seed=4)
-        want, _ = _brute_topk(rows, 5)
-        got = {
-            (r["id_a"], r["id_b"])
-            for r in topk_pairs(df, k=5, proj_dim=8, oversample=4, seed=4).collect()
-        }
-        assert len(got & want) / len(want) > 0.8
+class TestExactTopKSwapped(TestExactTopK):
+    """|A| > |B|: table b is broadcast and a is the probe side."""
 
-    def test_projection_identity_when_wide(self, spark):
-        """proj_dim >= dim means no sketch loss: result equals exact."""
-        df, rows = _reps_df(spark, seed=5)
-        want, _ = _brute_topk(rows, 3)
-        got = {
-            (r["id_a"], r["id_b"])
-            for r in topk_pairs(
-                df, k=3, proj_dim=1024, oversample=100, seed=5
-            ).collect()
-        }
-        assert got == want
+    n_a, n_b = 15, 12
 
 
-class TestPairW2:
-    def test_matches_numpy(self, spark):
-        df, rows = _reps_df(spark, seed=6)
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"id_a": [0, 3, 5], "id_b": [1, 2, 0]})
+class TestTopKEdgeCases:
+    def test_real_domain_matches_brute_force(self, tiny_rep, tiny_tensors):
+        t = tiny_tensors
+        want = _brute(
+            t.ids["a"], t.mu["a"], t.sigma["a"], t.ids["b"], t.mu["b"], t.sigma["b"], 10
         )
-        got = {(r["id_a"], r["id_b"]): r["w2"] for r in pair_w2(df, pairs).collect()}
-        by = {(r["table"], r["id"]): r for r in rows}
-        for (ia, ib), w2 in got.items():
-            ra, rb = by[("a", ia)], by[("b", ib)]
-            expect = w2_squared(
-                np.array(ra["mu"]), np.array(ra["sigma"]),
-                np.array(rb["mu"]), np.array(rb["sigma"]),
-            )
-            assert w2 == pytest.approx(expect, rel=1e-9)
+        got = _got(tiny_rep.reps_df, 10)
+        assert set(got) == set(want)
+        for pair, w2 in got.items():
+            assert w2 == pytest.approx(want[pair], rel=1e-9)
 
-    def test_preserves_extra_columns(self, spark):
-        df, _ = _reps_df(spark, seed=7)
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"id_a": [0, 1], "id_b": [0, 1], "label": [1, 0]})
-        )
-        out = pair_w2(df, pairs).toPandas()
-        assert set(out.columns) == {"id_a", "id_b", "w2", "label"}
-        assert len(out) == 2
+    def test_ties_follow_stable_brute_force(self, spark):
+        """Duplicated vectors tie exactly; ties go to the smaller id."""
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(3, 4))
+        rows = []
+        for t, n in (("a", 9), ("b", 11)):
+            ids = rng.permutation(n) * 3 + 100  # id order != row order
+            for i, v in zip(ids, base[np.arange(n) % 3]):
+                rows.append({"id": int(i), "table": t, "mu": v.tolist(), "sigma": (0.1 * v).tolist()})
+        df = spark.createDataFrame(pd.DataFrame(rows))
+        want = _brute(*_sides(rows), 2)
+        got = _got(df, 2)
+        assert set(got) == set(want)
+        assert all(got[p] == pytest.approx(want[p], rel=1e-9, abs=1e-12) for p in got)
 
-    def test_join_oracle(self, spark):
-        """The pair-to-representation join is relational — check the
-        cardinality/keys against DuckDB."""
-        df, _ = _reps_df(spark, seed=8)
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"id_a": [0, 1, 2], "id_b": [3, 4, 5]})
-        )
-        got = pair_w2(df, pairs).select("id_a", "id_b")
-        sql = """
-            SELECT p.id_a AS id_a, p.id_b AS id_b
-            FROM pairs p
-            JOIN (SELECT id FROM reps WHERE "table" = 'a') a ON p.id_a = a.id
-            JOIN (SELECT id FROM reps WHERE "table" = 'b') b ON p.id_b = b.id
-        """
-        assert_equivalent(got, sql, pairs=pairs, reps=df.select("id", "table"))
+    def test_k_larger_than_smaller_side(self, spark):
+        df, rows = _reps_df(spark, n_a=4, n_b=9, seed=10)
+        k = 6
+        got = topk_pairs(df, k=k).toPandas()
+        assert set(zip(got["id_a"], got["id_b"])) == set(_brute(*_sides(rows), k))
+        assert (got["id_a"].value_counts().reindex(range(4)) >= min(k, 9)).all()
+        assert (got["id_b"].value_counts().reindex(range(9)) >= min(k, 4)).all()
+
+    def test_partition_count_invariant(self, spark):
+        df, _ = _reps_df(spark, n_a=20, n_b=33, seed=11)
+
+        def run(n):
+            pdf = topk_pairs(df.repartition(n), k=3).toPandas()
+            return pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+        pd.testing.assert_frame_equal(run(1), run(5), check_exact=True)
