@@ -35,7 +35,7 @@ class _FeatureMatcher:
     def fit(self, vals_s: Values, vals_t: Values, y: np.ndarray) -> None:
         X = self.features(vals_s, vals_t)
         self.mlp = MLPClassifier(X.shape[1], self.hidden, seed=self.seed)
-        self.mlp.fit(X, y.astype(np.float64), epochs=self.epochs, seed=self.seed)
+        self.mlp.fit(X, y, epochs=self.epochs, seed=self.seed)
 
     def predict_proba(self, vals_s: Values, vals_t: Values) -> np.ndarray:
         assert self.mlp is not None, "fit() before predict_proba()"

@@ -1,6 +1,6 @@
 """VAER core: the paper's contribution.
 
-- `vae` / `spark_train` / `encode`: unsupervised representation learning (§III)
+- `vae` / `encode`: unsupervised representation learning (§III)
 - `wasserstein`: squared 2-Wasserstein between diagonal Gaussians (Eq. 3)
 - `siamese`: supervised matching in the latent space (§IV)
 - `lsh`: exact W2 top-k neighbour blocking (§V-A / §VI-B)

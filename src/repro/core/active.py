@@ -16,7 +16,7 @@ the labeler, and fold the answers back into L.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -32,20 +32,18 @@ from repro.core.wasserstein import euclidean_sq_means
 class DomainTensors:
     """Driver-side tensor view of one domain: IRs + latent reps by table.
 
-    ``irs[t]`` is (n_t, m, d); ``mu[t]``/``sigma[t]`` are (n_t, m*k);
-    ``row[t]`` maps tuple id -> row index.
+    ``irs[t]`` is (n_t, m, d); ``mu[t]``/``sigma[t]`` are (n_t, m*k).
+    Ids are unique per table; `_rows` maps them to row indices.
     """
 
     ids: dict[str, np.ndarray]
     irs: dict[str, np.ndarray]
     mu: dict[str, np.ndarray]
     sigma: dict[str, np.ndarray]
-    row: dict[str, dict[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.row = {
-            t: {int(v): i for i, v in enumerate(arr)} for t, arr in self.ids.items()
-        }
+        self._order = {t: np.argsort(a, kind="stable") for t, a in self.ids.items()}
+        self._sorted = {t: a[self._order[t]] for t, a in self.ids.items()}
 
     @classmethod
     def from_frames(cls, irs_pdf: pd.DataFrame, reps_pdf: pd.DataFrame) -> "DomainTensors":
@@ -56,7 +54,8 @@ class DomainTensors:
         sigma: dict[str, np.ndarray] = {}
         for t, grp in irs_pdf.groupby("table"):
             ids[t] = grp["id"].to_numpy()
-            irs[t] = np.stack([np.stack(r) for r in grp["irs"]])
+            # The matchers compute in float32; cast once here, not per batch.
+            irs[t] = np.stack([np.stack(r) for r in grp["irs"]]).astype(np.float32)
         for t, grp in reps_pdf.groupby("table"):
             order = {int(v): i for i, v in enumerate(grp["id"].to_numpy())}
             perm = np.array([order[int(v)] for v in ids[t]])
@@ -66,8 +65,15 @@ class DomainTensors:
 
     # ---- pair gathers ---------------------------------------------------------
     def _rows(self, table: str, ids: np.ndarray) -> np.ndarray:
-        r = self.row[table]
-        return np.array([r[int(i)] for i in ids], dtype=np.int64)
+        """Row indices of ``ids`` in ``table``; KeyError on an unknown id."""
+        ids = np.asarray(ids)
+        keys = self._sorted[table]
+        pos = np.searchsorted(keys, ids)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == ids[found]
+        if not found.all():
+            raise KeyError(ids[~found][0].item())
+        return self._order[table][pos].astype(np.int64, copy=False)
 
     def pair_irs(self, id_a: np.ndarray, id_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -196,7 +202,7 @@ def train_matcher(
     m.fit(
         Xs,
         Xt,
-        labels.astype(np.float64),
+        labels,
         epochs=epochs,
         batch_size=cfg.match_batch_size,
         lr=cfg.learning_rate,
@@ -212,13 +218,21 @@ def predict_pairs(
     *,
     chunk: int = 8192,
 ) -> np.ndarray:
-    """Chunked P(match) over a pair frame (tensors gathered per chunk)."""
-    ida = pairs["id_a"].to_numpy()
-    idb = pairs["id_b"].to_numpy()
+    """P(match) over a pair frame.
+
+    Each distinct tuple is encoded once; the encodings are then gathered
+    per pair and scored in chunks of ``chunk`` pairs.
+    """
+    ua, ia = np.unique(tensors._rows("a", pairs["id_a"].to_numpy()), return_inverse=True)
+    ub, ib = np.unique(tensors._rows("b", pairs["id_b"].to_numpy()), return_inverse=True)
+    mu_a, sg_a = matcher.encode(tensors.irs["a"][ua])
+    mu_b, sg_b = matcher.encode(tensors.irs["b"][ub])
     out = np.empty(len(pairs))
     for start in range(0, len(pairs), chunk):
-        Xs, Xt = tensors.pair_irs(ida[start : start + chunk], idb[start : start + chunk])
-        out[start : start + chunk] = matcher.predict_proba(Xs, Xt)
+        a, b = ia[start : start + chunk], ib[start : start + chunk]
+        out[start : start + chunk] = matcher.proba_from_latents(
+            mu_a[a], sg_a[a], mu_b[b], sg_b[b]
+        )
     return out
 
 

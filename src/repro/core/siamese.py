@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.vae import Encoder
+from repro.core.vae import Encoder, encode_with_state
 from repro.core.wasserstein import w2_vector
 from repro.nn.adam import Adam
-from repro.nn.mlp import MLPClassifier
+from repro.nn.mlp import MLPClassifier, bce
 
 
 class SiameseMatcher:
-    """VAER's matcher gamma: pair of IR tensors -> P(duplicate)."""
+    """VAER's matcher gamma: pair of IR tensors -> P(duplicate).
+
+    Computes in the dtype of ``encoder_state["h_W"]`` and casts its
+    inputs to it.
+    """
 
     def __init__(
         self,
@@ -34,13 +38,15 @@ class SiameseMatcher:
         seed: int = 0,
     ):
         rng = np.random.default_rng(seed)
-        in_dim = encoder_state["h_W"].shape[0]
-        enc_hidden = encoder_state["h_W"].shape[1]
+        self.dtype = encoder_state["h_W"].dtype
+        in_dim, enc_hidden = encoder_state["h_W"].shape
         latent = encoder_state["mu_W"].shape[1]
-        self.encoder = Encoder(in_dim, enc_hidden, latent, rng)
+        self.encoder = Encoder(in_dim, enc_hidden, latent, rng, self.dtype)
         self.encoder.load_state(encoder_state)
         self.arity, self.latent, self.margin = arity, latent, margin
-        self.mlp = MLPClassifier(arity * latent, (hidden,), seed=seed + 1)
+        self.mlp = MLPClassifier(
+            arity * latent, (hidden,), seed=seed + 1, dtype=self.dtype
+        )
         self._cache: dict[str, np.ndarray] = {}
 
     # ---- forward --------------------------------------------------------------
@@ -48,17 +54,35 @@ class SiameseMatcher:
         """Xs, Xt of shape (B, m, d) -> P(match) of shape (B,)."""
         B, m, d = Xs.shape
         assert m == self.arity, f"arity mismatch: {m} != {self.arity}"
-        X = np.concatenate([Xs.reshape(B * m, d), Xt.reshape(B * m, d)])
+        X = np.concatenate(
+            [Xs.reshape(B * m, d), Xt.reshape(B * m, d)], dtype=self.dtype
+        )
         mu, logvar = self.encoder.forward(X)
         sigma = np.exp(0.5 * logvar)
         k = self.latent
         mu = mu.reshape(2, B, m, k)
         sigma = sigma.reshape(2, B, m, k)
-        logvar = logvar.reshape(2, B, m, k)
         dvec = w2_vector(mu[0], sigma[0], mu[1], sigma[1])  # (B, m, k)
         p = self.mlp.forward(dvec.reshape(B, m * k))
         self._cache = dict(mu=mu, sigma=sigma, dvec=dvec, B=B, m=m)
         return p
+
+    def encode(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tuples' IRs (n, m, d) -> latent (mu, sigma), each (n, m, k).
+
+        Inference only: nothing is cached for backward.
+        """
+        n, m, d = X.shape
+        mu, sigma = encode_with_state(self.encoder.state(), X.reshape(n * m, d))
+        return mu.reshape(n, m, self.latent), sigma.reshape(n, m, self.latent)
+
+    def proba_from_latents(
+        self, mu_s: np.ndarray, sg_s: np.ndarray, mu_t: np.ndarray, sg_t: np.ndarray
+    ) -> np.ndarray:
+        """P(match) from both sides' encodings (B, m, k): the Distance
+        layer and the MLP of `forward`, for pairs gathered from `encode`."""
+        B, m, k = mu_s.shape
+        return self.mlp.forward(w2_vector(mu_s, sg_s, mu_t, sg_t).reshape(B, m * k))
 
     # ---- loss + backward (Eq. 4) ----------------------------------------------
     def loss_and_grads(
@@ -75,8 +99,7 @@ class SiameseMatcher:
         B, m, k = c["B"], c["m"], self.latent
         mu, sigma, dvec = c["mu"], c["sigma"], c["dvec"]
 
-        p_c = np.clip(p, 1e-12, 1 - 1e-12)
-        bce = float(-(y * np.log(p_c) + (1 - y) * np.log(1 - p_c)).mean())
+        loss_bce = float(bce(p, y).mean())
 
         w2 = dvec.sum(axis=2)  # per-attribute W2, (B, m)
         hinge = np.maximum(0.0, self.margin - w2)
@@ -85,7 +108,6 @@ class SiameseMatcher:
         )
 
         # --- backward ----------------------------------------------------------
-        self.encoder.zero_grad()
         g_dvec = self.mlp.backward_from_logit_grad((p - y) / B).reshape(B, m, k)
         # contrastive: dL/dw2 = y/(mB) for positives, -(1-y)/(mB) on active hinge
         coeff = (y[:, None] - (1 - y)[:, None] * (hinge > 0)) / (m * B)
@@ -104,7 +126,7 @@ class SiameseMatcher:
         )
         g_lv = g_sg * 0.5 * sigma.reshape(2 * B * m, k)
         self.encoder.backward(g_mu, g_lv)
-        return bce + contrast, bce, contrast
+        return loss_bce + contrast, loss_bce, contrast
 
     # ---- training / inference ---------------------------------------------------
     @property
@@ -126,6 +148,9 @@ class SiameseMatcher:
         lr: float = 1e-3,
         seed: int = 0,
     ) -> list[float]:
+        Xs = np.asarray(Xs, dtype=self.dtype)
+        Xt = np.asarray(Xt, dtype=self.dtype)
+        y = np.asarray(y, dtype=self.dtype)
         rng = np.random.default_rng(seed)
         opt = Adam(self.params, lr=lr)
         losses = []

@@ -26,11 +26,18 @@ from repro.nn.layers import Dense, relu, relu_grad
 class Encoder:
     """IR -> (mu, logvar) via one ReLU hidden layer and two linear heads."""
 
-    def __init__(self, in_dim: int, hidden: int, latent: int, rng: np.random.Generator):
+    def __init__(
+        self,
+        in_dim: int,
+        hidden: int,
+        latent: int,
+        rng: np.random.Generator,
+        dtype=np.float32,
+    ):
         self.in_dim, self.hidden_dim, self.latent_dim = in_dim, hidden, latent
-        self.h = Dense(in_dim, hidden, rng)
-        self.mu_head = Dense(hidden, latent, rng)
-        self.lv_head = Dense(hidden, latent, rng)
+        self.h = Dense(in_dim, hidden, rng, dtype)
+        self.mu_head = Dense(hidden, latent, rng, dtype)
+        self.lv_head = Dense(hidden, latent, rng, dtype)
         self._z_pre: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,11 +48,16 @@ class Encoder:
 
     def backward(
         self, g_mu: np.ndarray, g_lv: np.ndarray, *, accumulate: bool = False
-    ) -> np.ndarray:
-        """Backprop dL/dmu and dL/dlogvar; returns dL/dinput."""
+    ) -> None:
+        """Backprop dL/dmu and dL/dlogvar into the parameter grads.
+
+        The input is data (IRs), so dL/dinput is never formed.
+        """
         ga = self.mu_head.backward(g_mu, accumulate=accumulate)
         ga += self.lv_head.backward(g_lv, accumulate=accumulate)
-        return self.h.backward(ga * relu_grad(self._z_pre), accumulate=accumulate)
+        self.h.backward(
+            ga * relu_grad(self._z_pre), accumulate=accumulate, input_grad=False
+        )
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -54,10 +66,6 @@ class Encoder:
     @property
     def grads(self) -> list[np.ndarray]:
         return [*self.h.grads, *self.mu_head.grads, *self.lv_head.grads]
-
-    def zero_grad(self) -> None:
-        for layer in (self.h, self.mu_head, self.lv_head):
-            layer.zero_grad()
 
     # ---- pickle-light state for Spark broadcast -----------------------------
     def state(self) -> dict[str, np.ndarray]:
@@ -79,8 +87,10 @@ def encode_with_state(
     """Pure-function encoder for Spark executors: IRs -> (mu, sigma).
 
     Avoids shipping layer objects (and their forward caches) inside
-    `mapInPandas`; only the weight dict is broadcast.
+    `mapInPandas`; only the weight dict is broadcast. ``x`` is cast to the
+    weights' dtype.
     """
+    x = np.asarray(x, dtype=state["h_W"].dtype)
     a = relu(x @ state["h_W"] + state["h_b"])
     mu = a @ state["mu_W"] + state["mu_b"]
     logvar = a @ state["lv_W"] + state["lv_b"]
@@ -90,17 +100,25 @@ def encode_with_state(
 class VAE:
     """Encoder + reparameterised sampling + decoder, trained on IRs."""
 
-    def __init__(self, in_dim: int, hidden: int = 200, latent: int = 100, seed: int = 0):
+    def __init__(
+        self,
+        in_dim: int,
+        hidden: int = 200,
+        latent: int = 100,
+        seed: int = 0,
+        dtype=np.float32,
+    ):
         rng = np.random.default_rng(seed)
-        self.encoder = Encoder(in_dim, hidden, latent, rng)
-        self.dec_h = Dense(latent, hidden, rng)
-        self.dec_out = Dense(hidden, in_dim, rng)
+        self.dtype = np.dtype(dtype)
+        self.encoder = Encoder(in_dim, hidden, latent, rng, dtype)
+        self.dec_h = Dense(latent, hidden, rng, dtype)
+        self.dec_out = Dense(hidden, in_dim, rng, dtype)
         self.in_dim, self.hidden_dim, self.latent_dim = in_dim, hidden, latent
 
     # ---- inference -----------------------------------------------------------
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """IRs -> (mu, sigma); sigma = exp(logvar / 2) > 0."""
-        mu, logvar = self.encoder.forward(x)
+        mu, logvar = self.encoder.forward(np.asarray(x, dtype=self.dtype))
         return mu, np.exp(0.5 * logvar)
 
     def sample(
@@ -157,7 +175,8 @@ class VAE:
         b = len(x)
         mu, logvar = self.encoder.forward(x)
         sigma = np.exp(0.5 * logvar)
-        eps = rng.standard_normal(mu.shape)
+        # Drawn in float64 and cast, so both dtypes see the same stream.
+        eps = rng.standard_normal(mu.shape).astype(self.dtype, copy=False)
         z = mu + sigma * eps
 
         dec_pre = self.dec_h.forward(z)
@@ -187,7 +206,10 @@ class VAE:
         lr: float = 1e-3,
         seed: int = 0,
     ) -> list[float]:
-        """Minibatch Adam over the flattened IR matrix; per-epoch mean loss."""
+        """Minibatch Adam over the flattened IR matrix; per-epoch mean loss.
+
+        ``X`` is cast to the parameters' dtype once."""
+        X = np.asarray(X, dtype=self.dtype)
         rng = np.random.default_rng(seed)
         opt = Adam(self.params, lr=lr)
         losses = []

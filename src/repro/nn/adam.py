@@ -12,7 +12,10 @@ class Adam:
     """Standard Adam with bias correction.
 
     Parameters are updated in place so that layer objects holding the
-    same arrays see the new values without re-wiring.
+    same arrays see the new values without re-wiring. Each parameter has
+    two preallocated work buffers, so a step allocates no temporaries;
+    the arithmetic order is that of the textbook update, so results are
+    bit-identical to it.
     """
 
     def __init__(
@@ -30,6 +33,7 @@ class Adam:
         self.eps = eps
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._buf = [(np.empty_like(p), np.empty_like(p)) for p in params]
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
@@ -37,11 +41,21 @@ class Adam:
         assert len(grads) == len(self.params)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for p, g, m, v, (s, r) in zip(self.params, grads, self.m, self.v, self._buf):
+            # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(g, 1 - b1, out=s)
+            m += s
             v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.t)
-            vhat = v / (1 - b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            np.multiply(g, 1 - b2, out=s)
+            s *= g
+            v += s
+            # p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s

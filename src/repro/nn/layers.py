@@ -1,8 +1,10 @@
 """Dense layers and activations with manual forward/backward passes.
 
-Everything operates on 2-d ``(batch, features)`` float64 arrays. Layers
-hold their parameters as plain numpy arrays so models can be pickled and
-broadcast to Spark executors for inference (`core/encode.py`).
+Everything operates on 2-d ``(batch, features)`` arrays of one floating
+dtype per model: float32 by default, float64 for the finite-difference
+gradient checks. Layers hold their parameters as plain numpy arrays so
+models can be pickled and broadcast to Spark executors for inference
+(`core/encode.py`).
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
+    """Numerically stable logistic sigmoid, in the dtype of ``x``."""
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -36,9 +38,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Dense:
     """A fully connected layer ``y = x @ W + b`` with cached backward."""
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
-        self.W = he_init(rng, fan_in, fan_out)
-        self.b = np.zeros(fan_out)
+    def __init__(
+        self, fan_in: int, fan_out: int, rng: np.random.Generator, dtype=np.float32
+    ):
+        self.W = he_init(rng, fan_in, fan_out).astype(dtype, copy=False)
+        self.b = np.zeros(fan_out, dtype=dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
         self._x: np.ndarray | None = None
@@ -47,22 +51,24 @@ class Dense:
         self._x = x
         return x @ self.W + self.b
 
-    def backward(self, gy: np.ndarray, *, accumulate: bool = False) -> np.ndarray:
+    def backward(
+        self, gy: np.ndarray, *, accumulate: bool = False, input_grad: bool = True
+    ) -> np.ndarray | None:
         """Given dL/dy, store dL/dW and dL/db and return dL/dx.
 
         ``accumulate=True`` adds to existing grads — used by the Siamese
         matcher where the two mirrored heads share one set of weights.
+        ``input_grad=False`` skips the dL/dx product and returns None, for
+        a first layer whose input is data.
         """
         assert self._x is not None, "forward() must run before backward()"
-        gW = self._x.T @ gy
-        gb = gy.sum(axis=0)
         if accumulate:
-            self.gW += gW
-            self.gb += gb
+            self.gW += self._x.T @ gy
+            self.gb += gy.sum(axis=0)
         else:
-            self.gW = gW
-            self.gb = gb
-        return gy @ self.W.T
+            np.matmul(self._x.T, gy, out=self.gW)
+            gy.sum(axis=0, out=self.gb)
+        return gy @ self.W.T if input_grad else None
 
     @property
     def params(self) -> list[np.ndarray]:
@@ -73,5 +79,5 @@ class Dense:
         return [self.gW, self.gb]
 
     def zero_grad(self) -> None:
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
+        self.gW.fill(0.0)
+        self.gb.fill(0.0)

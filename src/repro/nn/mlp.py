@@ -13,13 +13,28 @@ from repro.nn.adam import Adam
 from repro.nn.layers import Dense, relu, relu_grad, sigmoid
 
 
+def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample binary cross-entropy, computed in float64."""
+    p_c = np.clip(p.astype(np.float64), 1e-12, 1 - 1e-12)
+    y = y.astype(np.float64)
+    return -(y * np.log(p_c) + (1 - y) * np.log(1 - p_c))
+
+
 class MLPClassifier:
     """``in_dim -> hidden (ReLU) -> ... -> 1 (sigmoid)`` binary classifier."""
 
-    def __init__(self, in_dim: int, hidden: tuple[int, ...] = (64,), seed: int = 0):
+    def __init__(
+        self,
+        in_dim: int,
+        hidden: tuple[int, ...] = (64,),
+        seed: int = 0,
+        dtype=np.float32,
+    ):
         rng = np.random.default_rng(seed)
         dims = [in_dim, *hidden, 1]
-        self.layers = [Dense(a, b, rng) for a, b in zip(dims[:-1], dims[1:])]
+        self.dtype = np.dtype(dtype)
+        self._flush = np.sqrt(np.finfo(self.dtype).tiny)
+        self.layers = [Dense(a, b, rng, dtype) for a, b in zip(dims[:-1], dims[1:])]
         self._pre: list[np.ndarray] = []
 
     # ---- forward / backward -------------------------------------------------
@@ -34,11 +49,23 @@ class MLPClassifier:
         logits = self.layers[-1].forward(h)
         return sigmoid(logits[:, 0])
 
-    def backward_from_logit_grad(self, glogit: np.ndarray) -> np.ndarray:
-        """Backprop dL/dlogit (shape ``(batch,)``) and return dL/dinput."""
-        g = self.layers[-1].backward(glogit[:, None])
-        for layer, z in zip(reversed(self.layers[:-1]), reversed(self._pre)):
-            g = layer.backward(g * relu_grad(z))
+    def backward_from_logit_grad(
+        self, glogit: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backprop dL/dlogit (shape ``(batch,)``) and return dL/dinput
+        (None with ``input_grad=False``).
+
+        Entries below the square root of the dtype's smallest normal number
+        are flushed to 0. A saturated sigmoid leaves p - y near 1e-40 in
+        float32, which moves no parameter, and its products down the chain
+        are subnormal floats, which slow every GEMM they enter many times
+        over.
+        """
+        g = np.where(np.abs(glogit) < self._flush, 0, glogit)[:, None]
+        for i in range(len(self.layers) - 1, -1, -1):
+            if i < len(self._pre):
+                g = g * relu_grad(self._pre[i])
+            g = self.layers[i].backward(g, input_grad=i > 0 or input_grad)
         return g
 
     def backward_bce(self, p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -67,7 +94,14 @@ class MLPClassifier:
         batch_size: int = 64,
         seed: int = 0,
     ) -> list[float]:
-        """Plain minibatch Adam training; returns per-epoch mean BCE."""
+        """Plain minibatch Adam training; returns per-epoch mean BCE.
+
+        ``X`` and ``y`` are cast to the parameters' dtype once; the
+        reported loss is computed in float64 (in float32, clipping at
+        ``1 - 1e-12`` rounds to 1 and the log would diverge).
+        """
+        X = np.asarray(X, dtype=self.dtype)
+        y = np.asarray(y, dtype=self.dtype)
         rng = np.random.default_rng(seed)
         opt = Adam(self.params, lr=lr)
         losses = []
@@ -78,15 +112,13 @@ class MLPClassifier:
             for start in range(0, n, batch_size):
                 idx = order[start : start + batch_size]
                 p = self.forward(X[idx])
-                p_c = np.clip(p, 1e-12, 1 - 1e-12)
                 yb = y[idx]
-                epoch_loss += float(
-                    -(yb * np.log(p_c) + (1 - yb) * np.log(1 - p_c)).sum()
-                )
-                self.backward_bce(p, yb)
+                epoch_loss += float(bce(p, yb).sum())
+                # The input is data: skip dL/dinput (see backward_bce).
+                self.backward_from_logit_grad((p - yb) / len(yb), input_grad=False)
                 opt.step(self.grads)
             losses.append(epoch_loss / n)
         return losses
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)
+        return self.forward(np.asarray(X, dtype=self.dtype))

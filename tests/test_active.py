@@ -61,6 +61,37 @@ def _enc_state(d=6, h=10, k=4, seed=1):
     }
 
 
+class TestRows:
+    def _tensors(self, ids_a, ids_b):
+        ids = {"a": ids_a, "b": ids_b}
+        zeros = {t: np.zeros((len(v), 1)) for t, v in ids.items()}
+        return DomainTensors(
+            ids=ids, irs={t: z[:, :, None] for t, z in zeros.items()},
+            mu=zeros, sigma=zeros,
+        )
+
+    def test_shuffled_ids_match_dict_lookup(self):
+        rng = np.random.default_rng(0)
+        ids_a = rng.permutation(np.arange(1000, 1500) * 7)
+        ids_b = rng.permutation(np.arange(300))
+        t = self._tensors(ids_a, ids_b)
+        for table, ids in (("a", ids_a), ("b", ids_b)):
+            row = {int(v): i for i, v in enumerate(ids)}
+            query = rng.choice(ids, size=2000)  # repeats included
+            want = np.array([row[int(i)] for i in query], dtype=np.int64)
+            got = t._rows(table, query)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(t.ids[table][got], query)
+        assert len(t._rows("a", np.array([], dtype=np.int64))) == 0
+
+    @pytest.mark.parametrize("unknown", [-1, 5, 10_000])
+    def test_unknown_id_raises_key_error(self, unknown):
+        """Below, between and above the known ids."""
+        t = self._tensors(np.array([9, 3, 0, 7]), np.array([1]))
+        with pytest.raises(KeyError):
+            t._rows("a", np.array([3, unknown, 9]))
+
+
 class TestOracleLabeler:
     def test_labels_and_counts(self):
         lab = OracleLabeler(pd.DataFrame({"id_a": [1, 2], "id_b": [10, 20]}))

@@ -57,7 +57,7 @@ class TestDense:
 
     def test_backward_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
-        layer = Dense(3, 2, rng)
+        layer = Dense(3, 2, rng, dtype=np.float64)
         x = rng.normal(size=(4, 3))
         # L = sum(y); dL/dW = x^T @ 1, dL/db = sum over batch
         layer.forward(x)
@@ -156,7 +156,7 @@ class TestMLP:
 
     def test_gradcheck_bce(self):
         rng = np.random.default_rng(4)
-        mlp = MLPClassifier(3, (5,), seed=4)
+        mlp = MLPClassifier(3, (5,), seed=4, dtype=np.float64)
         X = rng.normal(size=(6, 3))
         y = np.array([1.0, 0, 1, 0, 1, 0])
 
@@ -198,3 +198,76 @@ class TestMLP:
         p1.fit(X, y, epochs=10, seed=7)
         p2.fit(X, y, epochs=10, seed=7)
         assert np.allclose(p1.predict_proba(X), p2.predict_proba(X))
+
+
+class TestAdamBuffers:
+    def test_bit_identical_to_textbook_update(self):
+        """The buffer-reusing step reproduces the allocating textbook
+        update exactly over many float64 steps."""
+        rng = np.random.default_rng(7)
+        shapes = [(5, 3), (3,), (1,)]
+        params = [rng.normal(size=s) for s in shapes]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 51):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 2) for s in shapes]
+            opt.step(grads)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1**t)
+                vhat = v[i] / (1 - b2**t)
+                ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
+        assert all(np.array_equal(a, b) for a, b in zip(opt.m, m))
+        assert all(np.array_equal(a, b) for a, b in zip(opt.v, v))
+
+    def test_keeps_float32(self):
+        p = np.ones(4, dtype=np.float32)
+        opt = Adam([p])
+        opt.step([np.full(4, 0.5, dtype=np.float32)])
+        assert p.dtype == opt.m[0].dtype == opt.v[0].dtype == np.float32
+
+
+class TestFloat32Default:
+    def test_layers_default_to_float32(self):
+        mlp = MLPClassifier(3, (4,), seed=0)
+        assert all(p.dtype == np.float32 for p in mlp.params)
+        assert mlp.predict_proba(np.ones((2, 3))).dtype == np.float32
+
+    def test_sigmoid_keeps_dtype(self):
+        x = np.array([-3.0, 0.0, 3.0], dtype=np.float32)
+        assert sigmoid(x).dtype == np.float32
+
+    def test_saturated_logit_gradients_are_flushed(self):
+        """p - y of a saturated float32 sigmoid (~1e-40) is flushed to 0
+        before backprop, so no grad holds a subnormal float."""
+        rng = np.random.default_rng(8)
+        mlp = MLPClassifier(4, (6,), seed=8)
+        X = rng.normal(size=(3, 4)).astype(np.float32)
+        glogit = np.array([1e-40, -3e-25, 0.2], dtype=np.float32)
+        mlp.forward(X)
+        gx = mlp.backward_from_logit_grad(glogit)
+        got = [g.copy() for g in mlp.grads]
+        mlp.forward(X)
+        want_gx = mlp.backward_from_logit_grad(np.array([0, 0, 0.2], dtype=np.float32))
+        assert np.array_equal(gx, want_gx)
+        assert all(np.array_equal(a, b) for a, b in zip(got, mlp.grads))
+        tiny = np.finfo(np.float32).tiny
+        assert not any(((g != 0) & (np.abs(g) < tiny)).any() for g in [gx, *got])
+
+    def test_saturated_prediction_gives_finite_loss(self):
+        """In float32, p rounds to exactly 0 or 1 for large logits, and
+        ``1 - 1e-12`` rounds to 1: the reported loss must still be finite."""
+        X = np.array([[1.0], [-1.0]])
+        y = np.array([0.0, 1.0])  # both confidently wrong
+        mlp = MLPClassifier(1, (2,), seed=0)
+        mlp.layers[0].W[...] = [[100.0, -100.0]]
+        mlp.layers[1].W[...] = [[100.0], [-100.0]]
+        p = mlp.predict_proba(X)
+        assert p[0] == 1.0 and p[1] == 0.0
+        losses = mlp.fit(X, y, epochs=1, batch_size=2)
+        assert np.isfinite(losses).all() and losses[0] > 20.0

@@ -2,18 +2,21 @@
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.active import (
     ActiveLearner,
     OracleLabeler,
     evaluate_matcher,
+    predict_pairs,
     train_matcher,
 )
 from repro.core.encode import irs_as_representations
 from repro.core.lsh import topk_pairs
 from repro.core.metrics import topk_prf
 from repro.core.pipeline import domain_tensors, learn_representations
+from repro.core.siamese import SiameseMatcher
 
 
 class TestRepresentationPipeline:
@@ -96,6 +99,22 @@ class TestMatchingPipeline:
         al.run(budget=20)
         prf = evaluate_matcher(al.matcher, tiny_tensors, test)
         assert prf.f1 > 0.3
+
+    def test_predict_pairs_encodes_once(self, tiny_rep, tiny_tensors):
+        """Encode-once scoring equals scoring each gathered pair, with
+        repeated ids and a chunk boundary inside the frame."""
+        arity = tiny_tensors.irs["a"].shape[1]
+        m = SiameseMatcher(tiny_rep.vae.encoder.state(), arity=arity, hidden=8, seed=0)
+        rng = np.random.default_rng(0)
+        pairs = pd.DataFrame({
+            "id_a": rng.choice(tiny_tensors.ids["a"][:6], size=40),
+            "id_b": rng.choice(tiny_tensors.ids["b"], size=40),
+        })
+        got = predict_pairs(m, tiny_tensors, pairs, chunk=16)
+        want = m.predict_proba(
+            *tiny_tensors.pair_irs(pairs["id_a"].to_numpy(), pairs["id_b"].to_numpy())
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-5)
 
     def test_tensors_alignment(self, tiny_domain, tiny_tensors):
         truth = tiny_domain.truth.toPandas()

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from repro.core.siamese import SiameseMatcher
+from repro.core.vae import VAE
+from repro.nn.adam import Adam
+from repro.nn.layers import Dense
+from repro.nn.mlp import MLPClassifier
 
 
 def _enc_state(d=7, h=9, k=5, seed=3, scale=0.3):
@@ -56,6 +60,7 @@ class TestForward:
 class TestLossAndGradients:
     def test_gradcheck(self):
         sm = SiameseMatcher(_enc_state(), arity=3, hidden=6, margin=0.5, seed=4)
+        assert all(p.dtype == np.float64 for p in sm.params)  # dtype of the state
         rng = np.random.default_rng(5)
         Xs = rng.normal(size=(4, 3, 7)) * 0.5
         Xt = Xs + rng.normal(size=(4, 3, 7)) * 0.3
@@ -157,3 +162,69 @@ class TestTraining:
         s1.fit(Xs, Xt, y, epochs=5, seed=13)
         s2.fit(Xs, Xt, y, epochs=5, seed=13)
         assert np.allclose(s1.predict_proba(Xs, Xt), s2.predict_proba(Xs, Xt))
+
+
+class TestFloat32:
+    def _record(self, monkeypatch):
+        """Record every Adam that steps and the dtype of every array a
+        Dense layer sees (inputs forward, upstream gradients backward):
+        the preallocated grad and moment buffers alone would hide an
+        upcast, because writing into them casts back."""
+        opts: list[Adam] = []
+        seen: set[np.dtype] = set()
+        step, fwd, bwd = Adam.step, Dense.forward, Dense.backward
+
+        def rec_step(self, grads):
+            if self not in opts:
+                opts.append(self)
+            seen.update(g.dtype for g in grads)
+            step(self, grads)
+
+        def rec_fwd(self, x):
+            seen.add(x.dtype)
+            return fwd(self, x)
+
+        def rec_bwd(self, gy, **kw):
+            seen.add(gy.dtype)
+            return bwd(self, gy, **kw)
+
+        monkeypatch.setattr(Adam, "step", rec_step)
+        monkeypatch.setattr(Dense, "forward", rec_fwd)
+        monkeypatch.setattr(Dense, "backward", rec_bwd)
+        return opts, seen
+
+    def test_default_fits_stay_float32(self, monkeypatch):
+        """One default VAE fit, one Siamese epoch from its encoder and one
+        MLP epoch keep every param, grad, Adam moment and layer activation
+        in float32, from float64 inputs and int labels."""
+        opts, seen = self._record(monkeypatch)
+        rng = np.random.default_rng(14)
+        vae = VAE(7, 9, 5, seed=14)
+        assert np.isfinite(vae.fit(rng.normal(size=(64, 7)), epochs=1, batch_size=16)).all()
+        sm = SiameseMatcher(vae.encoder.state(), arity=2, hidden=6, seed=14)
+        Xs = rng.normal(size=(20, 2, 7))
+        Xt = rng.normal(size=(20, 2, 7))
+        y = (rng.random(20) > 0.5).astype(np.int64)
+        assert np.isfinite(sm.fit(Xs, Xt, y, epochs=1, batch_size=8)).all()
+        mlp = MLPClassifier(4, (5,), seed=14)  # the baseline lites' head
+        assert np.isfinite(mlp.fit(rng.normal(size=(20, 4)), y, epochs=1)).all()
+        assert len(opts) == 3
+        arrays = [*vae.params, *vae.grads, *sm.params, *sm.grads, *mlp.params, *mlp.grads]
+        for opt in opts:
+            arrays += [*opt.m, *opt.v]
+        assert {a.dtype for a in arrays} | seen == {np.dtype(np.float32)}
+        assert sm.forward(Xs, Xt).dtype == np.float32
+
+    def test_saturated_prediction_gives_finite_loss(self):
+        """A confidently wrong float32 prediction (p rounds to 1) must
+        report a finite, large BCE, not inf."""
+        sm = SiameseMatcher(
+            {k: v.astype(np.float32) for k, v in _enc_state().items()},
+            arity=2, hidden=6, seed=15,
+        )
+        sm.mlp.layers[-1].b[...] = 100.0  # logit >= 100 for every pair
+        X = np.random.default_rng(15).normal(size=(3, 2, 7))
+        assert (sm.forward(X, X) == 1.0).all()
+        total, bce, _ = sm.loss_and_grads(X, X, np.zeros(3, dtype=np.float32))
+        assert np.isfinite(total) and bce > 20.0
+        assert all(np.isfinite(g).all() for g in sm.grads)

@@ -82,7 +82,7 @@ class TestVAE:
 
     def test_gradcheck(self):
         rng0 = np.random.default_rng(6)
-        vae = VAE(5, 7, 3, seed=6)
+        vae = VAE(5, 7, 3, seed=6, dtype=np.float64)
         x = rng0.normal(size=(4, 5))
 
         def loss_at(flat):
