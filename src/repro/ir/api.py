@@ -5,7 +5,7 @@ from pyspark.sql import DataFrame
 
 from repro.ir.bert_sim import bert_attr_irs
 from repro.ir.embdi import embdi_attr_irs
-from repro.ir.lsa import lsa_attr_irs
+from repro.ir.lsa import lsa_irs
 from repro.ir.tokenize import assemble, melt_both
 from repro.ir.w2v import w2v_attr_irs
 
@@ -27,10 +27,10 @@ def build_irs(
     Returns ``(id, table, irs)`` with ``irs`` an arity x dim matrix; the
     row count equals |a| + |b| and ``table`` is 'a' or 'b'.
     """
-    melted = melt_both(a, b, attrs)
     if kind == "lsa":
-        attr_ir = lsa_attr_irs(melted, dim=dim, vocab_dim=vocab_dim)
-    elif kind == "w2v":
+        return lsa_irs(a, b, attrs, dim=dim, vocab_dim=vocab_dim)
+    melted = melt_both(a, b, attrs)
+    if kind == "w2v":
         attr_ir = w2v_attr_irs(melted, dim=dim, seed=seed)
     elif kind == "bert":
         attr_ir = bert_attr_irs(melted, dim=dim)

@@ -1,14 +1,20 @@
-"""DataFrame helpers shared by every IR builder.
+"""DataFrame helpers shared by the IR builders.
 
 `melt` unpivots an entity table into one row per attribute value —
 ``(id, table, attr_idx, value, tokens)`` — which is the "each attribute
 value is a sentence" view of §III-B. `assemble` re-groups per-attribute
-IR vectors into the per-tuple ``irs`` matrix the VAE consumes.
+IR vectors into the per-tuple ``irs`` matrix the VAE consumes. LSA
+(`lsa.py`) reads the unmelted tables and shares only `value_columns`.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+
+
+def value_columns(attrs: list[str]) -> list[Column]:
+    """Each attribute as a string; null/missing becomes the empty string."""
+    return [F.coalesce(F.col(c).cast("string"), F.lit("")) for c in attrs]
 
 
 def melt(df: DataFrame, attrs: list[str], table_label: str) -> DataFrame:
@@ -18,13 +24,10 @@ def melt(df: DataFrame, attrs: list[str], table_label: str) -> DataFrame:
     contributes exactly ``len(attrs)`` rows — the fixed 2-d input shape
     (num. attributes x num. features) the shared-parameter VAE expects.
     """
-    cols = [
-        F.coalesce(F.col(c).cast("string"), F.lit("")).alias(c) for c in attrs
-    ]
     out = df.select(
         F.col("id").cast("long").alias("id"),
         F.lit(table_label).alias("table"),
-        F.posexplode(F.array(*cols)).alias("attr_idx", "value"),
+        F.posexplode(F.array(*value_columns(attrs))).alias("attr_idx", "value"),
     )
     tokens = F.filter(
         F.split(F.lower(F.regexp_replace("value", "[^a-zA-Z0-9]+", " ")), " "),

@@ -5,11 +5,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.encode import (
-    collect_representations,
-    encode_representations,
-    irs_as_representations,
-)
+from repro.core.encode import encode_representations, irs_as_representations
 from repro.core.vae import VAE
 
 
@@ -69,18 +65,3 @@ class TestIrsAsRepresentations:
         out = irs_as_representations(irs_df).toPandas()
         assert all(not np.asarray(s).any() for s in out["sigma"])
 
-
-class TestCollect:
-    def test_alignment(self, irs_df, vae):
-        reps = encode_representations(irs_df, vae.encoder.state())
-        ids, mu, sigma = collect_representations(reps)
-        assert set(ids) == {"a", "b"}
-        assert mu["a"].shape == (9, 12) and sigma["b"].shape == (7, 12)
-        # Row i of mu['a'] must belong to ids['a'][i].
-        pdf = reps.toPandas()
-        lookup = {
-            (r["table"], r["id"]): np.asarray(r["mu"]) for _, r in pdf.iterrows()
-        }
-        for t in ("a", "b"):
-            for i, tid in enumerate(ids[t]):
-                assert np.allclose(mu[t][i], lookup[(t, int(tid))])

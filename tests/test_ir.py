@@ -7,6 +7,7 @@ import pytest
 
 from repro.ir import IR_KINDS, build_irs
 from repro.ir.bert_sim import encode_values
+from repro.ir.lsa import bucket, lsa_irs, tfidf_gram, tokens, value_table
 from repro.ir.tokenize import assemble, melt, melt_both
 from repro.oracle import assert_equivalent
 
@@ -152,6 +153,129 @@ class TestLsaProperties:
         a, b = toy_tables
         with pytest.raises(AssertionError):
             build_irs(a, b, ATTRS, kind="lsa", dim=128, vocab_dim=64).collect()
+
+
+VOCAB = 1024
+
+
+def _sorted_irs(irs_df) -> np.ndarray:
+    pdf = irs_df.toPandas().sort_values(["table", "id"])
+    return np.stack([np.stack(r) for r in pdf["irs"]])
+
+
+@pytest.fixture(scope="module", params=["citations1", "stocks"])
+def lsa_oracle(request, spark):
+    """A generated domain plus the Spark ML `HashingTF` + `IDF` TF-IDF
+    matrix of its melted values (the pipeline LSA used to run on)."""
+    from pyspark.ml.feature import IDF, HashingTF
+    from pyspark.ml.functions import vector_to_array
+
+    from repro.datasets.generate import er_domain
+
+    d = er_domain(spark, request.param, sf=0.03, seed=0)
+    tf = HashingTF(inputCol="tokens", outputCol="tf", numFeatures=VOCAB).transform(
+        melt_both(d.a, d.b, d.attrs)
+    )
+    model = IDF(inputCol="tf", outputCol="tfidf").fit(tf)
+    pdf = model.transform(tf).select(
+        "id", "table", "attr_idx", "value", "tokens",
+        vector_to_array("tfidf").alias("x"),
+    ).toPandas()
+    return d, pdf, model.idf.toArray(), np.stack(pdf["x"].to_numpy())
+
+
+class TestLsaOracle:
+    """The two-pass LSA against Spark ML as the oracle."""
+
+    def test_tokenizer_matches_melt(self, lsa_oracle):
+        _, pdf, _, _ = lsa_oracle
+        for value, toks in zip(pdf["value"], pdf["tokens"]):
+            assert tokens(value) == list(toks), value
+
+    def test_bucket_matches_hashing_tf(self, spark, lsa_oracle):
+        from pyspark.ml.feature import HashingTF
+
+        _, pdf, _, _ = lsa_oracle
+        # UTF-8 lengths 1..9, multi-byte characters included, cover every
+        # tail length of the 4-byte hash blocks.
+        extra = ["a", "ab", "abc", "abcd", "abcde", "é", "éa", "日本", "日本語x", "ß" * 4 + "z"]
+        distinct = sorted({t for toks in pdf["tokens"] for t in toks} | set(extra))
+        assert {len(t.encode("utf-8")) % 4 for t in distinct} == {0, 1, 2, 3}
+        docs = spark.createDataFrame(pd.DataFrame({"tokens": [[t] for t in distinct]}))
+        for vocab_dim in (VOCAB, 1000):
+            rows = HashingTF(
+                inputCol="tokens", outputCol="tf", numFeatures=vocab_dim
+            ).transform(docs).collect()
+            got = {r["tokens"][0]: int(r["tf"].indices[0]) for r in rows}
+            assert {t: bucket(t, vocab_dim) for t in distinct} == got
+
+    def test_idf_and_gram_match_spark_ml(self, lsa_oracle):
+        d, _, idf_ref, X = lsa_oracle
+        idf, gram, _ = tfidf_gram(value_table(d.a, d.b, d.attrs), VOCAB)
+        np.testing.assert_allclose(idf, idf_ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(gram, X.T @ X, rtol=1e-12, atol=0)
+
+    def test_irs_match_numpy_reference(self, lsa_oracle):
+        d, pdf, _, X = lsa_oracle
+        evals, vecs = np.linalg.eigh(X.T @ X)
+        evals, vecs = evals[::-1], vecs[:, ::-1]
+        # Equal eigenvalues leave their eigenvectors' basis to rounding:
+        # cut where the spectrum has a gap and align per equal-value group.
+        tie = np.abs(np.diff(evals)) <= 1e-9 * evals[0]
+        dim = next(k for k in range(24, VOCAB) if not tie[k - 1])
+        P = X @ vecs[:, :dim]
+        P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
+        out = lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB).toPandas()
+        by_key = {(t, i): np.stack(r) for t, i, r in zip(out["table"], out["id"], out["irs"])}
+        got = np.stack([
+            by_key[(t, i)][j]
+            for t, i, j in zip(pdf["table"], pdf["id"], pdf["attr_idx"])
+        ])
+        # Values that keep almost none of their TF-IDF norm in the topics
+        # are normalised rounding noise in any implementation.
+        kept = np.linalg.norm(X @ vecs[:, :dim], axis=1) >= 1e-6 * np.linalg.norm(X, axis=1)
+        kept &= np.linalg.norm(X, axis=1) > 0
+        assert kept.sum() > 0.5 * len(kept)
+        group = np.r_[0, np.cumsum(~tie[: dim - 1])]
+        for g in np.unique(group):
+            c = group == g
+            # Orthogonal Procrustes; for a single column this is its sign.
+            u, _, vt = np.linalg.svd(P[kept][:, c].T @ got[kept][:, c])
+            P[:, c] = P[:, c] @ (u @ vt)
+        np.testing.assert_allclose(got[kept], P[kept], rtol=0, atol=1e-9)
+        empty = np.linalg.norm(X, axis=1) == 0
+        assert not got[empty].any()
+
+    def test_partition_invariant(self, lsa_oracle):
+        d, _, _, _ = lsa_oracle
+        one = [t.repartition(1) for t in (d.a, d.b)]
+        five = [t.repartition(5) for t in (d.a, d.b)]
+        _, gram1, _ = tfidf_gram(value_table(*one, d.attrs), VOCAB)
+        _, gram5, _ = tfidf_gram(value_table(*five, d.attrs), VOCAB)
+        assert np.array_equal(gram1, gram5)
+        irs1 = _sorted_irs(lsa_irs(*one, d.attrs, dim=16, vocab_dim=VOCAB))
+        irs5 = _sorted_irs(lsa_irs(*five, d.attrs, dim=16, vocab_dim=VOCAB))
+        assert np.array_equal(irs1, irs5)
+
+    def test_no_shuffle(self, toy_tables):
+        a, b = toy_tables
+        irs = lsa_irs(a, b, ATTRS, dim=8, vocab_dim=64)
+        assert "Exchange" not in irs._jdf.queryExecution().executedPlan().toString()
+        parts = a.rdd.getNumPartitions() + b.rdd.getNumPartitions()
+        assert irs.rdd.getNumPartitions() == parts
+
+    def test_large_partitions_split(self, monkeypatch, lsa_oracle):
+        """Partitions whose IRs would exceed the cell budget are split
+        round-robin; the IRs themselves do not change."""
+        import repro.ir.lsa as lsa
+
+        d, _, _, _ = lsa_oracle
+        whole = lsa_irs(d.a, d.b, d.attrs, dim=16, vocab_dim=VOCAB)
+        monkeypatch.setattr(lsa, "_PART_CELLS", 16 * len(d.attrs) * 10)
+        split = lsa_irs(d.a, d.b, d.attrs, dim=16, vocab_dim=VOCAB)
+        n = d.a.count() + d.b.count()
+        assert split.rdd.getNumPartitions() == -(-n // 10)
+        assert np.array_equal(_sorted_irs(whole), _sorted_irs(split))
 
 
 def test_unknown_kind_rejected(spark, toy_tables):
