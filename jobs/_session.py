@@ -7,13 +7,34 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 
 from pyspark.sql import SparkSession
 
 
+def driver_memory() -> str:
+    """Driver heap when ``PYSPARK_SUBMIT_ARGS`` sets none: ``SPARK_DRIVER_MEM``
+    if given, else half the machine's memory, clamped to 2g..8g (the test
+    suite's formula). The driver holds every IR and representation of a
+    domain, so Spark's 1g default is too small at Table II sizes."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // 2097152))}g"
+
+
 def build_session(app: str) -> SparkSession:
+    builder = SparkSession.builder
+    # Read when the JVM starts; an explicit --driver-memory wins.
+    submit = shlex.split(os.environ.get("PYSPARK_SUBMIT_ARGS", ""))
+    if not any(a.split("=")[0] == "--driver-memory" for a in submit):
+        builder = builder.config("spark.driver.memory", driver_memory())
     s = (
-        SparkSession.builder.appName(app)
+        builder.appName(app)
         .config(
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),

@@ -32,8 +32,10 @@ from repro.core.wasserstein import euclidean_sq_means
 class DomainTensors:
     """Driver-side tensor view of one domain: IRs + latent reps by table.
 
-    ``irs[t]`` is (n_t, m, d); ``mu[t]``/``sigma[t]`` are (n_t, m*k).
-    Ids are unique per table; `_rows` maps them to row indices.
+    ``irs[t]`` is (n_t, m, d) float32, the IRs as collected once by
+    `pipeline.learn_representations`; ``mu[t]``/``sigma[t]`` are the
+    float64 (n_t, m*k) encodings of those same rows. Ids are unique per
+    table; `_rows` maps them to row indices.
     """
 
     ids: dict[str, np.ndarray]
@@ -46,22 +48,26 @@ class DomainTensors:
         self._sorted = {t: a[self._order[t]] for t, a in self.ids.items()}
 
     @classmethod
-    def from_frames(cls, irs_pdf: pd.DataFrame, reps_pdf: pd.DataFrame) -> "DomainTensors":
-        """Build from collected `build_irs` and `encode_representations` output."""
-        ids: dict[str, np.ndarray] = {}
-        irs: dict[str, np.ndarray] = {}
-        mu: dict[str, np.ndarray] = {}
-        sigma: dict[str, np.ndarray] = {}
-        for t, grp in irs_pdf.groupby("table"):
-            ids[t] = grp["id"].to_numpy()
-            # The matchers compute in float32; cast once here, not per batch.
-            irs[t] = np.stack([np.stack(r) for r in grp["irs"]]).astype(np.float32)
-        for t, grp in reps_pdf.groupby("table"):
-            order = {int(v): i for i, v in enumerate(grp["id"].to_numpy())}
-            perm = np.array([order[int(v)] for v in ids[t]])
-            mu[t] = np.stack(grp["mu"].to_numpy())[perm]
-            sigma[t] = np.stack(grp["sigma"].to_numpy())[perm]
-        return cls(ids=ids, irs=irs, mu=mu, sigma=sigma)
+    def from_rows(
+        cls,
+        ids: np.ndarray,
+        tables: np.ndarray,
+        irs: np.ndarray,
+        mu: np.ndarray,
+        sigma: np.ndarray,
+    ) -> "DomainTensors":
+        """Split row-aligned arrays over both tables, rows grouped by table
+        (as `ir.ir_tensor` returns them), into per-table views."""
+        names, first, count = np.unique(tables, return_index=True, return_counts=True)
+        rows = {t: slice(f, f + c) for t, f, c in zip(names.tolist(), first, count)}
+        if any((tables[r] != t).any() for t, r in rows.items()):
+            raise ValueError("rows are not grouped by table")
+        return cls(
+            ids={t: ids[r] for t, r in rows.items()},
+            irs={t: irs[r] for t, r in rows.items()},
+            mu={t: mu[r] for t, r in rows.items()},
+            sigma={t: sigma[r] for t, r in rows.items()},
+        )
 
     # ---- pair gathers ---------------------------------------------------------
     def _rows(self, table: str, ids: np.ndarray) -> np.ndarray:
@@ -130,8 +136,10 @@ def al_bootstrap(
     is a true positive, the scan extends just far enough to seed L+ with
     two — Algorithm 2 needs a non-empty L+ to estimate f+.
     Negatives are the ``n_neg`` largest-W2 pairs (true negatives kept).
+    W2 ties are broken by (id_a, id_b), so the result does not depend on
+    the order the candidates were collected in.
     """
-    cand = candidates.sort_values("w2", kind="stable").reset_index(drop=True)
+    cand = candidates.sort_values(["w2", "id_a", "id_b"]).reset_index(drop=True)
     labels = labeler.label(cand["id_a"].to_numpy(), cand["id_b"].to_numpy())
     # NOTE: only the pairs *inspected* below count as user effort; the bulk
     # labels above are a vectorisation convenience, indexed lazily.

@@ -1,9 +1,10 @@
-"""Distributed entity encoding (§III-A inference path).
+"""Entity encoding (§III-A inference path) and the representation frames.
 
-The trained variational encoder is tiny (a few hundred KB of weights);
-the tables can be large (Table II: up to 64k tuples). Encoding therefore
-broadcasts the weight dict and maps partitions of the IR DataFrame
-through the encoder with `mapInPandas`.
+The trained variational encoder is tiny (a few hundred KB of weights),
+and every IR is collected to the driver anyway, for the matcher and the
+active-learning loop. Encoding therefore runs there, over the collected
+``(n, arity, ir_dim)`` IR array, with the same `encode_with_state` the
+matcher uses. Spark gets the result back as a frame for top-k blocking.
 
 Representations are stored *flattened*: ``mu``/``sigma`` are arrays of
 length arity*latent — the concatenation of the per-attribute vectors.
@@ -13,72 +14,77 @@ works directly on the flat form.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
+import pyarrow as pa
+from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.active import DomainTensors
 from repro.core.vae import encode_with_state
 
+# Attribute values per encoder call: bounds the hidden-layer temporaries.
+_CHUNK = 1 << 16
 
-def encode_representations(
-    irs_df: DataFrame, encoder_state: dict[str, np.ndarray]
-) -> DataFrame:
-    """(id, table, irs[m][d]) -> (id, table, mu[m*k], sigma[m*k])."""
-    spark = irs_df.sparkSession
-    b_state = spark.sparkContext.broadcast(encoder_state)
 
-    def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        state = b_state.value
-        for pdf in it:
-            if not len(pdf):
-                continue
-            # (n, m, d) stacked attribute IRs -> encode all values at once.
-            irs = np.stack([np.stack(r) for r in pdf["irs"]])
-            n, m, d = irs.shape
-            mu, sigma = encode_with_state(state, irs.reshape(n * m, d))
-            k = mu.shape[1]
-            yield pd.DataFrame(
-                {
-                    "id": pdf["id"],
-                    "table": pdf["table"],
-                    "mu": list(mu.reshape(n, m * k)),
-                    "sigma": list(sigma.reshape(n, m * k)),
-                }
-            )
+def encode_irs(
+    encoder_state: dict[str, np.ndarray], irs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m, d) IRs -> float64 (mu, sigma), each (n, m*k)."""
+    n, m, d = irs.shape
+    flat = irs.reshape(n * m, d)
+    k = encoder_state["mu_W"].shape[1]
+    mu, sigma = np.empty((n * m, k)), np.empty((n * m, k))
+    for s in range(0, n * m, _CHUNK):
+        mu[s : s + _CHUNK], sigma[s : s + _CHUNK] = encode_with_state(
+            encoder_state, flat[s : s + _CHUNK]
+        )
+    return mu.reshape(n, m * k), sigma.reshape(n, m * k)
 
-    return irs_df.select("id", "table", "irs").mapInPandas(
-        part,
-        schema="id long, table string, mu array<double>, sigma array<double>",
+
+def _lists(x: np.ndarray) -> pa.ListArray:
+    """Rows of a 2-d array as an Arrow list<double> column (no copy of a
+    C-contiguous float64 array)."""
+    n, w = x.shape
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return pa.ListArray.from_arrays(
+        pa.array(np.arange(0, n * w + 1, w, dtype=np.int32)), pa.array(x.reshape(-1))
     )
 
 
-def irs_as_representations(irs_df: DataFrame) -> DataFrame:
+def _frame(
+    spark: SparkSession,
+    ids: dict[str, np.ndarray],
+    mu: dict[str, np.ndarray],
+    sigma: dict[str, np.ndarray],
+) -> DataFrame:
+    """(id, table, mu, sigma) rows of every table, one partition per
+    record batch, sized so the frame has at least ``defaultParallelism``
+    partitions (or one per row, if there are fewer rows)."""
+    n = sum(len(v) for v in ids.values())
+    size = max(1, n // spark.sparkContext.defaultParallelism)
+    batches = []
+    for t in sorted(ids):
+        tbl = pa.table({
+            "id": pa.array(ids[t], pa.int64()),
+            "table": pa.array([t] * len(ids[t]), pa.string()),
+            "mu": _lists(mu[t]),
+            "sigma": _lists(sigma[t]),
+        })
+        batches += tbl.to_batches(max_chunksize=size)
+    return spark.createDataFrame(pa.Table.from_batches(batches))
+
+
+def representations_frame(spark: SparkSession, tensors: DomainTensors) -> DataFrame:
+    """The latent representations as ``(id, table, mu, sigma)``."""
+    return _frame(spark, tensors.ids, tensors.mu, tensors.sigma)
+
+
+def irs_as_representations(spark: SparkSession, tensors: DomainTensors) -> DataFrame:
     """Raw-IR baseline view: mu = concatenated IRs, sigma = 0.
 
     Lets the Table IV 'plain IR nearest-neighbour' arm reuse every
     downstream code path (W2 degenerates to squared Euclidean).
     """
-
-    def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in it:
-            if not len(pdf):
-                continue
-            irs = np.stack([np.stack(r) for r in pdf["irs"]])
-            n = irs.shape[0]
-            flat = irs.reshape(n, -1)
-            yield pd.DataFrame(
-                {
-                    "id": pdf["id"],
-                    "table": pdf["table"],
-                    "mu": list(flat),
-                    "sigma": list(np.zeros_like(flat)),
-                }
-            )
-
-    return irs_df.select("id", "table", "irs").mapInPandas(
-        part,
-        schema="id long, table string, mu array<double>, sigma array<double>",
+    flat = {t: x.reshape(len(x), -1) for t, x in tensors.irs.items()}
+    return _frame(
+        spark, tensors.ids, flat, {t: np.zeros(x.shape) for t, x in flat.items()}
     )
-

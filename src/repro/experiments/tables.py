@@ -22,7 +22,7 @@ from repro.core.active import (
     train_matcher,
 )
 from repro.core.config import VaerConfig
-from repro.core.encode import encode_representations, irs_as_representations
+from repro.core.encode import irs_as_representations
 from repro.core.lsh import topk_pairs
 from repro.core.metrics import matcher_prf, topk_prf
 from repro.core.pipeline import domain_tensors, learn_representations
@@ -90,7 +90,7 @@ def table4_representation(
         for kind in kinds:
             rep = learn_representations(data, kind=kind, cfg=cfg, seed=seed)
             try:
-                raw = irs_as_representations(rep.irs_df)
+                raw = irs_as_representations(spark, domain_tensors(rep))
                 prf_ir = topk_prf(topk_pairs(raw, k=k), test)
                 prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=k), test)
             finally:

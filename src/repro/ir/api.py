@@ -1,6 +1,10 @@
-"""Uniform IR entry point: (tables, kind) -> per-tuple IR DataFrame."""
+"""Uniform IR entry point: (tables, kind) -> per-tuple IR DataFrame, and
+the one helper that turns the collected frame into driver arrays."""
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
 from repro.ir.bert_sim import bert_attr_irs
@@ -24,8 +28,9 @@ def build_irs(
 ) -> DataFrame:
     """Build per-tuple IRs over both input tables.
 
-    Returns ``(id, table, irs)`` with ``irs`` an arity x dim matrix; the
-    row count equals |a| + |b| and ``table`` is 'a' or 'b'.
+    Returns ``(id, table, irs)`` with ``irs`` the flat float32 arity x dim
+    matrix, attributes in ``attrs`` order; the row count equals |a| + |b|
+    and ``table`` is 'a' or 'b'.
     """
     if kind == "lsa":
         return lsa_irs(a, b, attrs, dim=dim, vocab_dim=vocab_dim)
@@ -39,3 +44,21 @@ def build_irs(
     else:
         raise ValueError(f"unknown IR kind {kind!r}; expected one of {IR_KINDS}")
     return assemble(attr_ir, len(attrs))
+
+
+def ir_tensor(irs: pa.Table, arity: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collected `build_irs` output -> ``(ids, tables, X)``, rows sorted by
+    (table, id), ``X`` the (n, arity, dim) float32 IRs.
+
+    The sort makes every driver-side consumer independent of how the
+    frame happened to be partitioned.
+    """
+    col = irs.column("irs").combine_chunks()
+    lengths = pc.list_value_length(col).to_numpy(zero_copy_only=False)
+    if len(lengths) and ((lengths != lengths[0]).any() or lengths[0] % arity):
+        raise ValueError(f"IR rows are not arity ({arity}) x dim float arrays")
+    ids = irs.column("id").to_numpy()
+    tables = irs.column("table").to_numpy(zero_copy_only=False).astype(str)
+    X = col.flatten().to_numpy().reshape(len(ids), arity, -1)
+    order = np.lexsort((ids, tables))
+    return ids[order], tables[order], X[order]

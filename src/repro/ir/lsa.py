@@ -8,12 +8,14 @@ Two `mapInPandas` passes over the union of the two (unmelted) tables:
           term-frequency gram ``G = sum_v tf_v tf_v^T`` (one job, Arrow).
   driver  ``idf = log((m + 1) / (df + 1))`` (Spark ML's IDF),
           ``gram = idf * G * idf`` = X^T X of the TF-IDF matrix X,
-          V = top ``dim`` eigenvectors of the gram (numpy eigh).
+          V = top ``dim`` eigenvectors of the gram (numpy eigh over the
+          occupied buckets only: the other rows and columns are 0).
   pass 2  IR = L2-normalised projection ``tf_v @ (idf * V)`` of every value,
-          emitted per tuple as ``(id, table, irs)`` in ``attrs`` order,
-          on the input partitions (no shuffle) unless a partition's IRs
-          would exceed ``_PART_CELLS`` doubles; then the (id, strings)
-          rows are first spread round-robin over more partitions.
+          emitted per tuple as ``(id, table, irs)``, ``irs`` the flat
+          float32 concatenation in ``attrs`` order, on the input
+          partitions (no shuffle) unless a partition's IRs would exceed
+          ``_PART_CELLS`` cells; then the (id, strings) rows are first
+          spread round-robin over more partitions.
 
 Tokens and buckets equal those of `tokenize.melt` + Spark ML `HashingTF`
 (MurmurHash3_x86_32, seed 42), so this is the classic LSI of that
@@ -39,9 +41,9 @@ _M32 = 0xFFFFFFFF
 # temporaries. A value never spans two chunks, so its arithmetic, and
 # hence its IR, does not depend on how the input is partitioned.
 _CHUNK = 1024
-# IR doubles per pass-2 partition. An IR is ~100x the bytes of its value,
+# IR cells per pass-2 partition. An IR is ~100x the bytes of its value,
 # so partitions sized for the input tables are split (round-robin) when
-# their IRs would exceed this; 8 MB partitions keep the JVM's per-task
+# their IRs would exceed this; 4 MB partitions keep the JVM's per-task
 # Arrow buffers small when the IRs are collected.
 _PART_CELLS = 1 << 20
 
@@ -168,14 +170,36 @@ def tfidf_gram(
     # Integer sums are exact, so the order partitions arrive in is irrelevant.
     g = np.bincount(flat("key"), weights=flat("tf2"), minlength=vocab_dim * vocab_dim)
     idf = np.log((m + 1.0) / (df + 1.0))
-    gram = idf[:, None] * g.reshape(vocab_dim, vocab_dim) * idf[None, :]
+    gram = g.reshape(vocab_dim, vocab_dim)
+    gram *= idf[:, None]
+    gram *= idf
     return idf, gram, part_values
+
+
+def top_eigenvectors(gram: np.ndarray, dim: int) -> np.ndarray:
+    """The ``dim`` eigenvectors of the largest eigenvalues of ``gram``,
+    as columns in descending eigenvalue order.
+
+    Rows and columns of buckets no value hits are exactly 0, so only the
+    occupied block is decomposed (eigh's workspace grows with its square);
+    its eigenvectors, zero-padded, are eigenvectors of the whole gram.
+    Topics beyond the occupied count stay 0: every TF-IDF row projects to
+    0 on the null space.
+    """
+    occ = np.flatnonzero(np.diag(gram) > 0)
+    # eigh returns ascending eigenvalues.
+    _, vecs = np.linalg.eigh(gram[np.ix_(occ, occ)])
+    top = vecs[:, ::-1][:, :dim]
+    out = np.zeros((len(gram), dim))
+    out[occ, : top.shape[1]] = top
+    return out
 
 
 def lsa_irs(
     a: DataFrame, b: DataFrame, attrs: list[str], *, dim: int, vocab_dim: int = 1024
 ) -> DataFrame:
-    """Per-tuple LSA IRs ``(id, table, irs)``, ``irs`` an arity x ``dim`` matrix.
+    """Per-tuple LSA IRs ``(id, table, irs)``, ``irs`` a flat float32
+    arity x ``dim`` matrix.
 
     ``dim`` topics; empty values yield all-zero IRs (no token mass).
     """
@@ -184,11 +208,9 @@ def lsa_irs(
     idf, gram, part_values = tfidf_gram(values, vocab_dim)
     if part_values.max(initial=0) * dim > _PART_CELLS:
         values = values.repartition(-(-int(part_values.sum()) * dim // _PART_CELLS))
-    # eigh returns ascending eigenvalues; take the top-``dim`` eigenvectors.
-    _, vecs = np.linalg.eigh(gram)
     # tf @ (idf * V) is the TF-IDF row projected onto the topics.
     bW = values.sparkSession.sparkContext.broadcast(
-        idf[:, None] * vecs[:, ::-1][:, :dim]
+        idf[:, None] * top_eigenvectors(gram, dim)
     )
     arity = len(attrs)
     cols = [f"v{i}" for i in range(arity)]
@@ -203,15 +225,14 @@ def lsa_irs(
                 starts = np.flatnonzero(np.r_[True, vi[1:] != vi[:-1]])
                 P[vi[starts]] = np.add.reduceat(count[:, None] * W[bk], starts)
             P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-            P = P.reshape(-1, arity, dim)
             yield pd.DataFrame(
                 {
                     "id": pdf["id"].to_numpy(),
                     "table": pdf["table"].to_numpy(),
-                    "irs": [list(r) for r in P],
+                    "irs": list(P.astype(np.float32).reshape(-1, arity * dim)),
                 }
             )
 
     return values.mapInPandas(
-        project, schema="id long, table string, irs array<array<double>>"
+        project, schema="id long, table string, irs array<float>"
     )

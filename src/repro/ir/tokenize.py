@@ -3,7 +3,7 @@
 `melt` unpivots an entity table into one row per attribute value —
 ``(id, table, attr_idx, value, tokens)`` — which is the "each attribute
 value is a sentence" view of §III-B. `assemble` re-groups per-attribute
-IR vectors into the per-tuple ``irs`` matrix the VAE consumes. LSA
+IR vectors into the per-tuple flat ``irs`` array the VAE consumes. LSA
 (`lsa.py`) reads the unmelted tables and shares only `value_columns`.
 """
 from __future__ import annotations
@@ -43,7 +43,8 @@ def melt_both(a: DataFrame, b: DataFrame, attrs: list[str]) -> DataFrame:
 
 
 def assemble(attr_ir: DataFrame, arity: int) -> DataFrame:
-    """(id, table, attr_idx, ir) -> (id, table, irs) with irs[attr_idx] = ir.
+    """(id, table, attr_idx, ir) -> (id, table, irs): ``irs`` the float32
+    concatenation of the tuple's ``ir`` vectors in ``attr_idx`` order.
 
     Sorting inside the aggregated structs restores attribute order after
     the shuffle, so ``irs`` is always arity-aligned.
@@ -58,6 +59,8 @@ def assemble(attr_ir: DataFrame, arity: int) -> DataFrame:
         .select(
             "id",
             "table",
-            F.transform("pairs", lambda p: p["ir"]).alias("irs"),
+            F.flatten(F.transform("pairs", lambda p: p["ir"]))
+            .cast("array<float>")
+            .alias("irs"),
         )
     )

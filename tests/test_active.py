@@ -101,6 +101,19 @@ class TestOracleLabeler:
 
 
 class TestBootstrap:
+    def test_independent_of_candidate_order(self):
+        """W2 ties are broken by ids, so the collected row order (which
+        follows Spark's partitioning) cannot change L+, L- or U."""
+        _, truth, cand = _toy_world()
+        cand = cand.assign(w2=cand["w2"].round(1))  # many ties
+        assert cand["w2"].duplicated().sum() > len(cand) // 2
+        got = [
+            al_bootstrap(c, OracleLabeler(truth), n_pos=5, n_neg=5)
+            for c in (cand, cand.sample(frac=1.0, random_state=3))
+        ]
+        for f in ("l_pos", "l_neg", "unlabeled"):
+            pd.testing.assert_frame_equal(getattr(got[0], f), getattr(got[1], f))
+
     def test_sets_partition_candidates(self):
         _, truth, cand = _toy_world()
         res = al_bootstrap(cand, OracleLabeler(truth), n_pos=5, n_neg=5)

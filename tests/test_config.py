@@ -56,3 +56,23 @@ class TestJobs:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         assert callable(mod.main)
+
+
+class TestSession:
+    """`build_session` sizes the driver unless spark-submit args do."""
+
+    @staticmethod
+    def _module():
+        spec = importlib.util.spec_from_file_location("_session", JOBS / "_session.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    def test_explicit_driver_mem_wins(self, monkeypatch):
+        monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+        assert self._module().driver_memory() == "3g"
+
+    def test_half_of_memory_clamped(self, monkeypatch):
+        monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+        got = self._module().driver_memory()
+        assert got.endswith("g") and 2 <= int(got[:-1]) <= 8

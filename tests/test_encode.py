@@ -1,24 +1,14 @@
-"""Tests for distributed encoding (`repro.core.encode`)."""
+"""Tests for driver-side encoding and the representation frames
+(`repro.core.encode`)."""
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.encode import encode_representations, irs_as_representations
+import repro.core.encode as encode
+from repro.core.active import DomainTensors
+from repro.core.encode import encode_irs, irs_as_representations, representations_frame
 from repro.core.vae import VAE
-
-
-@pytest.fixture(scope="module")
-def irs_df(spark):
-    rng = np.random.default_rng(0)
-    rows = []
-    for t, n in (("a", 9), ("b", 7)):
-        for i in range(n):
-            rows.append(
-                {"id": i, "table": t, "irs": rng.normal(size=(3, 6)).tolist()}
-            )
-    return spark.createDataFrame(pd.DataFrame(rows))
 
 
 @pytest.fixture(scope="module")
@@ -28,40 +18,87 @@ def vae():
     return v
 
 
+@pytest.fixture(scope="module")
+def tensors(vae):
+    rng = np.random.default_rng(0)
+    ids = {"a": rng.permutation(9) * 3, "b": rng.permutation(7)}
+    irs = {t: rng.normal(size=(len(v), 3, 6)).astype(np.float32) for t, v in ids.items()}
+    enc = {t: encode_irs(vae.encoder.state(), x) for t, x in irs.items()}
+    return DomainTensors(
+        ids=ids, irs=irs,
+        mu={t: e[0] for t, e in enc.items()}, sigma={t: e[1] for t, e in enc.items()},
+    )
+
+
+def _by_key(frame) -> dict:
+    return {
+        (r["table"], r["id"]): (np.asarray(r["mu"]), np.asarray(r["sigma"]))
+        for r in frame.collect()
+    }
+
+
 class TestEncodeRepresentations:
-    def test_matches_driver_encoding(self, spark, irs_df, vae):
-        out = encode_representations(irs_df, vae.encoder.state()).toPandas()
-        src = irs_df.toPandas()
-        by = {(r["table"], r["id"]): np.stack(r["irs"]) for _, r in src.iterrows()}
-        for _, r in out.iterrows():
-            mu, sigma = vae.encode(by[(r["table"], r["id"])])
-            assert np.allclose(np.asarray(r["mu"]), mu.ravel(), atol=1e-9)
-            assert np.allclose(np.asarray(r["sigma"]), sigma.ravel(), atol=1e-9)
+    def test_matches_driver_encoding(self, tensors, vae):
+        """Each tuple's flat (mu, sigma) is the VAE encoding of its IRs."""
+        for t, irs in tensors.irs.items():
+            for i, x in enumerate(irs):
+                mu, sigma = vae.encode(x)
+                np.testing.assert_allclose(tensors.mu[t][i], mu.ravel(), atol=1e-6)
+                np.testing.assert_allclose(tensors.sigma[t][i], sigma.ravel(), atol=1e-6)
 
-    def test_flattened_length(self, irs_df, vae):
-        out = encode_representations(irs_df, vae.encoder.state()).first()
-        assert len(out["mu"]) == 3 * 4  # arity * latent
-        assert len(out["sigma"]) == 3 * 4
+    def test_chunks_do_not_change_the_encoding(self, monkeypatch, tensors, vae):
+        monkeypatch.setattr(encode, "_CHUNK", 5)
+        mu, sigma = encode_irs(vae.encoder.state(), tensors.irs["a"])
+        np.testing.assert_allclose(mu, tensors.mu["a"], atol=1e-6)
+        np.testing.assert_allclose(sigma, tensors.sigma["a"], atol=1e-6)
 
-    def test_sigma_positive(self, irs_df, vae):
-        out = encode_representations(irs_df, vae.encoder.state()).toPandas()
-        assert all((np.asarray(s) > 0).all() for s in out["sigma"])
+    def test_flattened_length(self, spark, tensors):
+        row = representations_frame(spark, tensors).first()
+        assert len(row["mu"]) == 3 * 4  # arity * latent
+        assert len(row["sigma"]) == 3 * 4
 
-    def test_row_count_preserved(self, irs_df, vae):
-        assert encode_representations(irs_df, vae.encoder.state()).count() == 16
+    def test_sigma_positive(self, tensors):
+        assert all((s > 0).all() for s in tensors.sigma.values())
+
+    def test_row_count_preserved(self, spark, tensors):
+        assert representations_frame(spark, tensors).count() == 16
+
+    def test_rows_equal_tensors(self, spark, tensors):
+        frame = representations_frame(spark, tensors)
+        assert frame.schema.simpleString() == (
+            "struct<id:bigint,table:string,mu:array<double>,sigma:array<double>>"
+        )
+        by = _by_key(frame)
+        assert len(by) == 16
+        for t, ids in tensors.ids.items():
+            for i, v in enumerate(ids):
+                mu, sigma = by[(t, v)]
+                assert np.array_equal(mu, tensors.mu[t][i])
+                assert np.array_equal(sigma, tensors.sigma[t][i])
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_partitions_cover_parallelism(self, spark, tensors, n):
+        """At least min(defaultParallelism, rows) partitions, so top-k
+        runs on every core even though the frame is built on the driver."""
+        keep = {"a": slice(0, min(n, 9)), "b": slice(0, max(0, n - 9))}
+        small = DomainTensors(**{
+            f: {t: getattr(tensors, f)[t][keep[t]] for t in keep}
+            for f in ("ids", "irs", "mu", "sigma")
+        })
+        frame = representations_frame(spark, small)
+        assert frame.count() == n
+        want = min(spark.sparkContext.defaultParallelism, n)
+        assert frame.rdd.getNumPartitions() >= want
 
 
 class TestIrsAsRepresentations:
-    def test_mu_is_concatenated_irs(self, irs_df):
-        out = irs_as_representations(irs_df).toPandas()
-        src = irs_df.toPandas()
-        by = {(r["table"], r["id"]): np.stack(r["irs"]) for _, r in src.iterrows()}
-        for _, r in out.iterrows():
-            assert np.allclose(
-                np.asarray(r["mu"]), by[(r["table"], r["id"])].ravel()
-            )
+    def test_mu_is_concatenated_irs(self, spark, tensors):
+        by = _by_key(irs_as_representations(spark, tensors))
+        for t, ids in tensors.ids.items():
+            for i, v in enumerate(ids):
+                assert np.array_equal(by[(t, v)][0], tensors.irs[t][i].ravel())
 
-    def test_sigma_all_zero(self, irs_df):
-        out = irs_as_representations(irs_df).toPandas()
-        assert all(not np.asarray(s).any() for s in out["sigma"])
-
+    def test_sigma_all_zero(self, spark, tensors):
+        by = _by_key(irs_as_representations(spark, tensors))
+        assert len(by) == 16
+        assert all(not s.any() for _, s in by.values())

@@ -5,9 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.ir import IR_KINDS, build_irs
+from repro.ir import IR_KINDS, build_irs, ir_tensor
 from repro.ir.bert_sim import encode_values
-from repro.ir.lsa import bucket, lsa_irs, tfidf_gram, tokens, value_table
+from repro.ir.lsa import (
+    bucket, lsa_irs, tfidf_gram, tokens, top_eigenvectors, value_table,
+)
 from repro.ir.tokenize import assemble, melt, melt_both
 from repro.oracle import assert_equivalent
 
@@ -77,8 +79,8 @@ class TestMelt:
             )
         )
         out = {r["id"]: r["irs"] for r in assemble(attr_ir, 2).collect()}
-        assert out[0] == [[0.0], [1.0]]
-        assert out[1] == [[10.0], [11.0]]
+        assert out[0] == [0.0, 1.0]
+        assert out[1] == [10.0, 11.0]
 
 
 class TestBertSim:
@@ -108,11 +110,11 @@ class TestBertSim:
 class TestBuildIrs:
     def test_shape_and_coverage(self, spark, toy_tables, kind):
         a, b = toy_tables
-        out = build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64).toPandas()
-        assert len(out) == 5
-        assert set(out["table"]) == {"a", "b"}
-        irs = np.stack([np.stack(r) for r in out["irs"]])
-        assert irs.shape == (5, 2, 8)
+        out = build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64)
+        assert out.schema["irs"].dataType.simpleString() == "array<float>"
+        ids, tables, irs = ir_tensor(out.toArrow(), len(ATTRS))
+        assert list(zip(tables, ids)) == [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)]
+        assert irs.shape == (5, 2, 8) and irs.dtype == np.float32
         assert np.isfinite(irs).all()
 
     def test_duplicate_values_embed_identically(self, spark, kind):
@@ -125,11 +127,10 @@ class TestBuildIrs:
         b = spark.createDataFrame(
             pd.DataFrame({"id": [0], "name": ["gamma"], "city": ["z"]})
         )
-        out = build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64).toPandas()
-        rows = out[out["table"] == "a"].sort_values("id")
-        ir0 = np.stack(rows.iloc[0]["irs"])
-        ir1 = np.stack(rows.iloc[1]["irs"])
-        assert np.allclose(ir0[0], ir1[0], atol=1e-9)
+        _, _, irs = ir_tensor(
+            build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64).toArrow(), len(ATTRS)
+        )
+        assert np.allclose(irs[0, 0], irs[1, 0], atol=1e-9)  # a/0 and a/1
 
 
 class TestLsaProperties:
@@ -144,9 +145,10 @@ class TestLsaProperties:
         b = spark.createDataFrame(
             pd.DataFrame({"id": [0], "name": ["other"], "city": ["y"]})
         )
-        out = build_irs(a, b, ATTRS, kind="lsa", dim=4, vocab_dim=64).toPandas()
-        rows = out[out["table"] == "a"].sort_values("id")
-        irs = np.stack([np.stack(r)[0] for r in rows["irs"]])
+        _, _, irs = ir_tensor(
+            build_irs(a, b, ATTRS, kind="lsa", dim=4, vocab_dim=64).toArrow(), len(ATTRS)
+        )
+        irs = irs[:4, 0]  # table a's names, by id
         assert np.linalg.norm(irs[0] - irs[1]) < np.linalg.norm(irs[0] - irs[2])
 
     def test_dim_exceeding_vocab_rejected(self, spark, toy_tables):
@@ -158,9 +160,8 @@ class TestLsaProperties:
 VOCAB = 1024
 
 
-def _sorted_irs(irs_df) -> np.ndarray:
-    pdf = irs_df.toPandas().sort_values(["table", "id"])
-    return np.stack([np.stack(r) for r in pdf["irs"]])
+def _sorted_irs(irs_df, arity: int) -> np.ndarray:
+    return ir_tensor(irs_df.toArrow(), arity)[2]
 
 
 @pytest.fixture(scope="module", params=["citations1", "stocks"])
@@ -225,12 +226,14 @@ class TestLsaOracle:
         dim = next(k for k in range(24, VOCAB) if not tie[k - 1])
         P = X @ vecs[:, :dim]
         P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-        out = lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB).toPandas()
-        by_key = {(t, i): np.stack(r) for t, i, r in zip(out["table"], out["id"], out["irs"])}
+        ids, tables, irs = ir_tensor(
+            lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB).toArrow(), len(d.attrs)
+        )
+        row = {(t, i): r for r, (t, i) in enumerate(zip(tables, ids))}
         got = np.stack([
-            by_key[(t, i)][j]
+            irs[row[(t, i)], j]
             for t, i, j in zip(pdf["table"], pdf["id"], pdf["attr_idx"])
-        ])
+        ]).astype(np.float64)
         # Values that keep almost none of their TF-IDF norm in the topics
         # are normalised rounding noise in any implementation.
         kept = np.linalg.norm(X @ vecs[:, :dim], axis=1) >= 1e-6 * np.linalg.norm(X, axis=1)
@@ -242,9 +245,38 @@ class TestLsaOracle:
             # Orthogonal Procrustes; for a single column this is its sign.
             u, _, vt = np.linalg.svd(P[kept][:, c].T @ got[kept][:, c])
             P[:, c] = P[:, c] @ (u @ vt)
-        np.testing.assert_allclose(got[kept], P[kept], rtol=0, atol=1e-9)
+        # IRs are stored as float32: allow its rounding (2^-24 relative,
+        # doubled) on top of the float64 agreement.
+        np.testing.assert_allclose(
+            got[kept], P[kept], rtol=np.finfo(np.float32).eps, atol=1e-9
+        )
         empty = np.linalg.norm(X, axis=1) == 0
         assert not got[empty].any()
+
+    def test_occupied_block_eigenvectors_match_full_eigh(self, lsa_oracle):
+        """`top_eigenvectors` decomposes only the occupied buckets; its
+        eigenpairs equal the full eigh's up to sign (Procrustes within
+        groups of equal eigenvalues), and topics past them are 0."""
+        _, _, _, X = lsa_oracle
+        gram = X.T @ X
+        evals, vecs = np.linalg.eigh(gram)
+        evals, vecs = evals[::-1], vecs[:, ::-1]
+        tie = np.abs(np.diff(evals)) <= 1e-9 * evals[0]
+        dim = next(k for k in range(100, VOCAB) if not tie[k - 1])
+        occupied = int((np.diag(gram) > 0).sum())
+        assert dim < occupied < VOCAB
+        got = top_eigenvectors(gram, dim)
+        np.testing.assert_allclose(gram @ got, got * evals[:dim], rtol=0, atol=1e-9 * evals[0])
+        want = vecs[:, :dim].copy()
+        group = np.r_[0, np.cumsum(~tie[: dim - 1])]
+        for g in np.unique(group):
+            c = group == g
+            u, _, vt = np.linalg.svd(want[:, c].T @ got[:, c])
+            want[:, c] = want[:, c] @ (u @ vt)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        padded = top_eigenvectors(gram, occupied + 3)
+        assert np.array_equal(padded[:, :dim], got)
+        assert not padded[:, occupied:].any()
 
     def test_partition_invariant(self, lsa_oracle):
         d, _, _, _ = lsa_oracle
@@ -253,8 +285,8 @@ class TestLsaOracle:
         _, gram1, _ = tfidf_gram(value_table(*one, d.attrs), VOCAB)
         _, gram5, _ = tfidf_gram(value_table(*five, d.attrs), VOCAB)
         assert np.array_equal(gram1, gram5)
-        irs1 = _sorted_irs(lsa_irs(*one, d.attrs, dim=16, vocab_dim=VOCAB))
-        irs5 = _sorted_irs(lsa_irs(*five, d.attrs, dim=16, vocab_dim=VOCAB))
+        irs1 = _sorted_irs(lsa_irs(*one, d.attrs, dim=16, vocab_dim=VOCAB), len(d.attrs))
+        irs5 = _sorted_irs(lsa_irs(*five, d.attrs, dim=16, vocab_dim=VOCAB), len(d.attrs))
         assert np.array_equal(irs1, irs5)
 
     def test_no_shuffle(self, toy_tables):
@@ -275,7 +307,8 @@ class TestLsaOracle:
         split = lsa_irs(d.a, d.b, d.attrs, dim=16, vocab_dim=VOCAB)
         n = d.a.count() + d.b.count()
         assert split.rdd.getNumPartitions() == -(-n // 10)
-        assert np.array_equal(_sorted_irs(whole), _sorted_irs(split))
+        arity = len(d.attrs)
+        assert np.array_equal(_sorted_irs(whole, arity), _sorted_irs(split, arity))
 
 
 def test_unknown_kind_rejected(spark, toy_tables):

@@ -1,6 +1,8 @@
 """Integration tests: the end-to-end VAER pipeline on a tiny domain."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -17,6 +19,7 @@ from repro.core.lsh import topk_pairs
 from repro.core.metrics import topk_prf
 from repro.core.pipeline import domain_tensors, learn_representations
 from repro.core.siamese import SiameseMatcher
+from repro.core.vae import encode_with_state
 
 
 class TestRepresentationPipeline:
@@ -38,11 +41,11 @@ class TestRepresentationPipeline:
         )
         assert prf.recall > 0.5
 
-    def test_vae_not_worse_than_raw_ir_recall(self, tiny_domain, tiny_rep):
+    def test_vae_not_worse_than_raw_ir_recall(self, spark, tiny_domain, tiny_rep):
         """The Table IV claim at tiny scale: encoding must preserve the
         IR similarity signal (allow small slack for noise)."""
         raw = topk_prf(
-            topk_pairs(irs_as_representations(tiny_rep.irs_df), k=10),
+            topk_pairs(irs_as_representations(spark, domain_tensors(tiny_rep)), k=10),
             tiny_domain.test,
         )
         enc = topk_prf(
@@ -63,6 +66,56 @@ class TestRepresentationPipeline:
         finally:
             rep2.irs_df.unpersist()
             rep2.reps_df.unpersist()
+
+
+class TestDriverTensors:
+    """`learn_representations` collects the IRs once and derives the
+    encodings, the driver tensors and `reps_df` from that one collect."""
+
+    def test_tensors_are_encodings_of_irs(self, tiny_rep, tiny_tensors):
+        state = tiny_rep.vae.encoder.state()
+        for t, irs in tiny_tensors.irs.items():
+            n, m, d = irs.shape
+            assert irs.dtype == np.float32
+            mu, sigma = encode_with_state(state, irs.reshape(n * m, d))
+            np.testing.assert_allclose(tiny_tensors.mu[t], mu.reshape(n, -1), rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(tiny_tensors.sigma[t], sigma.reshape(n, -1), rtol=1e-6, atol=1e-7)
+
+    def test_tensors_hold_both_tables_sorted(self, tiny_domain, tiny_tensors):
+        for t, df in (("a", tiny_domain.a), ("b", tiny_domain.b)):
+            want = np.sort(df.toPandas()["id"].to_numpy())
+            assert np.array_equal(tiny_tensors.ids[t], want)
+
+    def test_reps_df_rows_equal_tensors(self, tiny_rep, tiny_tensors):
+        pdf = tiny_rep.reps_df.toPandas()
+        for t, grp in pdf.groupby("table"):
+            grp = grp.sort_values("id")
+            assert np.array_equal(grp["id"].to_numpy(), tiny_tensors.ids[t])
+            assert np.array_equal(np.stack(grp["mu"].to_numpy()), tiny_tensors.mu[t])
+            assert np.array_equal(np.stack(grp["sigma"].to_numpy()), tiny_tensors.sigma[t])
+
+    def test_reps_df_partitions(self, spark, tiny_rep, tiny_tensors):
+        rows = sum(len(v) for v in tiny_tensors.ids.values())
+        want = min(spark.sparkContext.defaultParallelism, rows)
+        assert tiny_rep.reps_df.rdd.getNumPartitions() >= want
+
+    def test_sampled_vae_independent_of_partitioning(self, tiny_domain, small_cfg):
+        """With a cap that forces the VAE sample, inputs on 1 and on 5
+        partitions give the same VAE weights and tensors, bit for bit."""
+        cfg = replace(small_cfg, vae_train_sample_cap=40 * tiny_domain.spec.arity)
+        out = []
+        for n in (1, 5):
+            data = replace(tiny_domain, a=tiny_domain.a.repartition(n), b=tiny_domain.b.repartition(n))
+            rep = learn_representations(data, kind="lsa", cfg=cfg, seed=0)
+            rep.irs_df.unpersist()
+            out.append(rep)
+        one, five = out
+        assert one.tensors.ids["a"].size + one.tensors.ids["b"].size > 40
+        for k, w in one.vae.state().items():
+            assert np.array_equal(w, five.vae.state()[k]), k
+        for field in ("ids", "irs", "mu", "sigma"):
+            for t in ("a", "b"):
+                assert np.array_equal(getattr(one.tensors, field)[t], getattr(five.tensors, field)[t])
 
 
 class TestMatchingPipeline:
