@@ -13,12 +13,10 @@ from pyspark.sql import SparkSession
 
 
 def driver_memory() -> str:
-    """Driver heap when ``PYSPARK_SUBMIT_ARGS`` sets none: ``SPARK_DRIVER_MEM``
-    if given, else half the machine's memory, clamped to 2g..8g (the test
-    suite's formula). The driver holds every IR and representation of a
-    domain, so Spark's 1g default is too small at Table II sizes."""
-    if m := os.environ.get("SPARK_DRIVER_MEM"):
-        return m
+    """Driver heap when ``PYSPARK_SUBMIT_ARGS`` sets none: half the
+    machine's memory, clamped to 2g..8g (the test suite's formula). The
+    driver holds every IR and representation of a domain, so Spark's 1g
+    default is too small at Table II sizes."""
     try:
         with open("/proc/meminfo") as f:
             kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))

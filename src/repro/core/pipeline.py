@@ -25,7 +25,7 @@ from repro.ir import build_irs, ir_tensor
 @dataclass
 class RepresentationResult:
     vae: VAE
-    irs_df: DataFrame  # cached: (id, table, irs)
+    irs_df: DataFrame  # (id, table, irs), read once by the collect
     reps_df: DataFrame  # built from `tensors`: (id, table, mu, sigma)
     ir_seconds: float
     train_seconds: float
@@ -50,9 +50,7 @@ def learn_representations(
     """
     arity = len(data.attrs)
     t0 = time.perf_counter()
-    irs_df = build_irs(
-        data.a, data.b, data.attrs, kind=kind, dim=cfg.ir_dim, seed=seed
-    ).cache()
+    irs_df = build_irs(data.a, data.b, data.attrs, kind=kind, dim=cfg.ir_dim, seed=seed)
     ids, tables, X = ir_tensor(irs_df.toArrow(), arity)
     t1 = time.perf_counter()
 

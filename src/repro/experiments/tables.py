@@ -89,13 +89,9 @@ def table4_representation(
         test = data.test
         for kind in kinds:
             rep = learn_representations(data, kind=kind, cfg=cfg, seed=seed)
-            try:
-                raw = irs_as_representations(spark, domain_tensors(rep))
-                prf_ir = topk_prf(topk_pairs(raw, k=k), test)
-                prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=k), test)
-            finally:
-                rep.irs_df.unpersist()
-                rep.reps_df.unpersist()
+            raw = irs_as_representations(spark, domain_tensors(rep))
+            prf_ir = topk_prf(topk_pairs(raw, k=k), test)
+            prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=k), test)
             rows.append(
                 {
                     "domain": name,
@@ -130,11 +126,7 @@ def table5_table6_matching(
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
         rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed)
-        try:
-            tensors = domain_tensors(rep)
-        finally:
-            rep.irs_df.unpersist()
-            rep.reps_df.unpersist()
+        tensors = domain_tensors(rep)
         train_pdf = data.train.toPandas()
         test_pdf = data.test.toPandas()
 
@@ -235,10 +227,7 @@ def table7_transfer(
     F1 against a locally trained representation model."""
     src = er_domain(spark, source, sf=sf, seed=seed)
     arity = src.spec.arity
-    src_rep = learn_representations(src, kind="lsa", cfg=cfg, seed=seed)
-    src_rep.irs_df.unpersist()
-    src_rep.reps_df.unpersist()
-    transferred: VAE = src_rep.vae
+    transferred: VAE = learn_representations(src, kind="lsa", cfg=cfg, seed=seed).vae
 
     rows = []
     for name in domains:
@@ -247,12 +236,8 @@ def table7_transfer(
         out = {"domain": name}
         for mode, vae in (("local", None), ("transf", transferred)):
             rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed, vae=vae)
-            try:
-                prf = topk_prf(topk_pairs(rep.reps_df, k=k), data.test)
-                tensors = domain_tensors(rep)
-            finally:
-                rep.irs_df.unpersist()
-                rep.reps_df.unpersist()
+            prf = topk_prf(topk_pairs(rep.reps_df, k=k), data.test)
+            tensors = domain_tensors(rep)
             train_pdf = data.train.toPandas()
             matcher = train_matcher(
                 tensors,
@@ -293,12 +278,8 @@ def table8_active_learning(
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
         rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed)
-        try:
-            tensors = domain_tensors(rep)
-            cand = topk_pairs(rep.reps_df, k=cfg.al_top_k_neighbours).toPandas()
-        finally:
-            rep.irs_df.unpersist()
-            rep.reps_df.unpersist()
+        tensors = domain_tensors(rep)
+        cand = topk_pairs(rep.reps_df, k=cfg.al_top_k_neighbours).toPandas()
         truth_pdf = data.truth.toPandas()
         test_pdf = data.test.toPandas()
         train_pdf = data.train.toPandas()

@@ -38,10 +38,7 @@ def tiny_domain(spark):
 def tiny_rep(spark, tiny_domain, small_cfg):
     from repro.core.pipeline import learn_representations
 
-    rep = learn_representations(tiny_domain, kind="lsa", cfg=small_cfg, seed=0)
-    yield rep
-    rep.irs_df.unpersist()
-    rep.reps_df.unpersist()
+    return learn_representations(tiny_domain, kind="lsa", cfg=small_cfg, seed=0)
 
 
 @pytest.fixture(scope="session")

@@ -43,14 +43,14 @@ class TestEncodeRepresentations:
         for t, irs in tensors.irs.items():
             for i, x in enumerate(irs):
                 mu, sigma = vae.encode(x)
-                np.testing.assert_allclose(tensors.mu[t][i], mu.ravel(), atol=1e-6)
-                np.testing.assert_allclose(tensors.sigma[t][i], sigma.ravel(), atol=1e-6)
+                np.testing.assert_allclose(tensors.mu[t][i], mu.ravel(), atol=1e-9)
+                np.testing.assert_allclose(tensors.sigma[t][i], sigma.ravel(), atol=1e-9)
 
     def test_chunks_do_not_change_the_encoding(self, monkeypatch, tensors, vae):
         monkeypatch.setattr(encode, "_CHUNK", 5)
         mu, sigma = encode_irs(vae.encoder.state(), tensors.irs["a"])
-        np.testing.assert_allclose(mu, tensors.mu["a"], atol=1e-6)
-        np.testing.assert_allclose(sigma, tensors.sigma["a"], atol=1e-6)
+        assert np.array_equal(mu, tensors.mu["a"])
+        assert np.array_equal(sigma, tensors.sigma["a"])
 
     def test_flattened_length(self, spark, tensors):
         row = representations_frame(spark, tensors).first()
