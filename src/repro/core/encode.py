@@ -10,7 +10,9 @@ Representations are stored *flattened*: ``mu``/``sigma`` are arrays of
 length arity*latent — the concatenation of the per-attribute vectors.
 W2 over the concatenation equals the sum of per-attribute W2 terms, so
 all downstream distance math (Eq. 3, the Distance layer, top-k blocking)
-works directly on the flat form.
+works directly on the flat form. The frames hold them as ``array<float>``:
+the encoder computes in float32, so the driver's float64 tensors hold
+float32 values and the cast loses nothing.
 """
 from __future__ import annotations
 
@@ -41,12 +43,12 @@ def encode_irs(
 
 
 def _lists(x: np.ndarray) -> pa.ListArray:
-    """Rows of a 2-d array as an Arrow list<double> column (no copy of a
-    C-contiguous float64 array)."""
+    """Rows of a 2-d array as an Arrow list<float> column. Exact for the
+    encoder's outputs and the IRs, which are float32 values."""
     n, w = x.shape
-    x = np.ascontiguousarray(x, dtype=np.float64)
     return pa.ListArray.from_arrays(
-        pa.array(np.arange(0, n * w + 1, w, dtype=np.int32)), pa.array(x.reshape(-1))
+        pa.array(np.arange(0, n * w + 1, w, dtype=np.int32)),
+        pa.array(x.astype(np.float32).reshape(-1)),
     )
 
 
@@ -56,21 +58,16 @@ def _frame(
     mu: dict[str, np.ndarray],
     sigma: dict[str, np.ndarray],
 ) -> DataFrame:
-    """(id, table, mu, sigma) rows of every table, one partition per
-    record batch, sized so the frame has at least ``defaultParallelism``
-    partitions (or one per row, if there are fewer rows)."""
-    n = sum(len(v) for v in ids.values())
-    size = max(1, n // spark.sparkContext.defaultParallelism)
-    batches = []
-    for t in sorted(ids):
-        tbl = pa.table({
+    """(id, table, mu, sigma) rows of every table."""
+    return spark.createDataFrame(pa.concat_tables([
+        pa.table({
             "id": pa.array(ids[t], pa.int64()),
             "table": pa.array([t] * len(ids[t]), pa.string()),
             "mu": _lists(mu[t]),
             "sigma": _lists(sigma[t]),
         })
-        batches += tbl.to_batches(max_chunksize=size)
-    return spark.createDataFrame(pa.Table.from_batches(batches))
+        for t in sorted(ids)
+    ]))
 
 
 def representations_frame(spark: SparkSession, tensors: DomainTensors) -> DataFrame:

@@ -121,23 +121,8 @@ class VAE:
         mu, logvar = self.encoder.forward(np.asarray(x, dtype=self.dtype))
         return mu, np.exp(0.5 * logvar)
 
-    def sample(
-        self, mu: np.ndarray, sigma: np.ndarray, rng: np.random.Generator, n: int = 1
-    ) -> np.ndarray:
-        """Ancestral sampling (reparameterisation trick): n draws per row.
-
-        Returns shape ``(n, *mu.shape)``; used by the AL diversity step
-        (Eq. 6) to build the distance distribution D+.
-        """
-        eps = rng.standard_normal((n, *mu.shape))
-        return mu[None, ...] + sigma[None, ...] * eps
-
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.dec_out.forward(relu(self.dec_h.forward(z)))
-
-    def reconstruct(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mu, sigma = self.encode(x)
-        return self.decode(mu + sigma * rng.standard_normal(mu.shape))
 
     # ---- pickle-light state (Spark broadcast / transfer learning) ------------
     def state(self) -> dict[str, np.ndarray]:

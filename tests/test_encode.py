@@ -57,6 +57,13 @@ class TestEncodeRepresentations:
         assert len(row["mu"]) == 3 * 4  # arity * latent
         assert len(row["sigma"]) == 3 * 4
 
+    def test_encodings_are_float32_values(self, tensors):
+        """The frames store mu/sigma as float32; this makes that exact."""
+        for field in (tensors.mu, tensors.sigma):
+            for x in field.values():
+                assert x.dtype == np.float64
+                assert np.array_equal(x, x.astype(np.float32))
+
     def test_sigma_positive(self, tensors):
         assert all((s > 0).all() for s in tensors.sigma.values())
 
@@ -66,7 +73,7 @@ class TestEncodeRepresentations:
     def test_rows_equal_tensors(self, spark, tensors):
         frame = representations_frame(spark, tensors)
         assert frame.schema.simpleString() == (
-            "struct<id:bigint,table:string,mu:array<double>,sigma:array<double>>"
+            "struct<id:bigint,table:string,mu:array<float>,sigma:array<float>>"
         )
         by = _by_key(frame)
         assert len(by) == 16
@@ -77,18 +84,19 @@ class TestEncodeRepresentations:
                 assert np.array_equal(sigma, tensors.sigma[t][i])
 
     @pytest.mark.parametrize("n", [1, 3, 16])
-    def test_partitions_cover_parallelism(self, spark, tensors, n):
-        """At least min(defaultParallelism, rows) partitions, so top-k
-        runs on every core even though the frame is built on the driver."""
+    def test_frames_of_few_rows(self, spark, tensors, n):
+        """Frames of 1, 3 or 16 rows, the first two with table b empty,
+        hold exactly their rows."""
         keep = {"a": slice(0, min(n, 9)), "b": slice(0, max(0, n - 9))}
         small = DomainTensors(**{
             f: {t: getattr(tensors, f)[t][keep[t]] for t in keep}
             for f in ("ids", "irs", "mu", "sigma")
         })
-        frame = representations_frame(spark, small)
-        assert frame.count() == n
-        want = min(spark.sparkContext.defaultParallelism, n)
-        assert frame.rdd.getNumPartitions() >= want
+        by = _by_key(representations_frame(spark, small))
+        assert len(by) == n
+        for t, ids in small.ids.items():
+            for i, v in enumerate(ids):
+                assert np.array_equal(by[(t, v)][0], small.mu[t][i])
 
 
 class TestIrsAsRepresentations:

@@ -1,10 +1,15 @@
 """Tests for exact top-k neighbour blocking (`repro.core.lsh`)."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core.encode as encode
+import repro.core.lsh as lsh
+from repro.core.encode import representations_frame
 from repro.core.lsh import topk_pairs
 from repro.core.wasserstein import w2_squared
 
@@ -36,7 +41,7 @@ def _sides(rows):
 def _brute(ids_a, mu_a, sg_a, ids_b, mu_b, sg_b, k):
     """Numpy brute force: {(id_a, id_b): w2} over the W2 top-k of each
     side, ties broken by the other side's id."""
-    d = w2_squared(mu_a[:, None], sg_a[:, None], mu_b[None], sg_b[None])
+    d = np.stack([w2_squared(mu_a[i], sg_a[i], mu_b, sg_b) for i in range(len(ids_a))])
     keep = {}
     for i in range(len(ids_a)):
         for j in np.lexsort((ids_b, d[i]))[:k]:
@@ -49,6 +54,17 @@ def _brute(ids_a, mu_a, sg_a, ids_b, mu_b, sg_b, k):
 
 def _got(df, k):
     return {(r["id_a"], r["id_b"]): r["w2"] for r in topk_pairs(df, k=k).collect()}
+
+
+def _sorted(df, k):
+    pdf = topk_pairs(df, k=k).toPandas()
+    return pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
+
+
+def _frame(pairs: dict) -> pd.DataFrame:
+    """`_brute`'s output as a frame shaped like `_sorted`'s."""
+    (a, b), w2 = zip(*sorted(pairs)), [pairs[p] for p in sorted(pairs)]
+    return pd.DataFrame({"id_a": np.array(a, np.int64), "id_b": np.array(b, np.int64), "w2": w2})
 
 
 class TestExactTopK:
@@ -130,3 +146,76 @@ class TestTopKEdgeCases:
             return pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
         pd.testing.assert_frame_equal(run(1), run(5), check_exact=True)
+
+
+class TestDriverKernel:
+    """The probe side in per-core chunks, each over several GEMM blocks."""
+
+    def test_threaded_chunks_equal_single_block_and_brute(self, spark, monkeypatch):
+        df, rows = _reps_df(spark, n_a=20, n_b=45, seed=12)
+        single = _sorted(df, 3)
+        # 4 probe rows per block, 3 chunks of 15 rows: 4 blocks per chunk.
+        monkeypatch.setattr(lsh, "_BLOCK_CELLS", 20 * 4)
+        monkeypatch.setattr(lsh.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        barrier, threads, chunk = threading.Barrier(3, timeout=30), set(), lsh._chunk
+
+        def concurrent_chunk(*args):
+            threads.add(threading.get_ident())
+            barrier.wait()  # raises unless all three chunks run at once
+            return chunk(*args)
+
+        monkeypatch.setattr(lsh, "_chunk", concurrent_chunk)
+        multi = _sorted(df, 3)
+        assert len(threads) == 3
+        pd.testing.assert_frame_equal(multi, single, check_exact=True)
+        pd.testing.assert_frame_equal(multi, _frame(_brute(*_sides(rows), 3)), check_exact=True)
+
+    def test_single_block_runs_inline(self, spark, monkeypatch):
+        df, _ = _reps_df(spark, n_a=20, n_b=45, seed=13)
+        threads, chunk = set(), lsh._chunk
+
+        def recorded_chunk(*args):
+            threads.add(threading.get_ident())
+            return chunk(*args)
+
+        monkeypatch.setattr(lsh, "_chunk", recorded_chunk)
+        _sorted(df, 3)
+        assert threads == {threading.get_ident()}
+
+    def test_float32_frame_equals_float64_frame(self, spark):
+        df, rows = _reps_df(spark, n_a=18, n_b=25, seed=14)
+        for r in rows:  # float32 values, held as doubles
+            r["mu"] = np.float32(r["mu"]).tolist()
+            r["sigma"] = np.float32(r["sigma"]).tolist()
+        f64 = spark.createDataFrame(pd.DataFrame(rows))
+        ids_a, mu_a, sg_a, ids_b, mu_b, sg_b = _sides(rows)
+        f32 = encode._frame(
+            spark, {"a": ids_a, "b": ids_b}, {"a": mu_a, "b": mu_b}, {"a": sg_a, "b": sg_b}
+        )
+        assert dict(f64.dtypes)["mu"] == "array<double>"
+        assert dict(f32.dtypes)["mu"] == "array<float>"
+        pd.testing.assert_frame_equal(_sorted(f32, 3), _sorted(f64, 3), check_exact=True)
+
+
+@pytest.fixture(scope="module", params=["citations1", "stocks"])
+def domain_tensors_sf01(request, spark, small_cfg):
+    from repro.core.pipeline import learn_representations
+    from repro.datasets.generate import er_domain
+
+    data = er_domain(spark, request.param, sf=0.1, seed=0)
+    rep = learn_representations(data, kind="lsa", cfg=small_cfg, seed=0)
+    return rep.tensors
+
+
+class TestGeneratedDomains:
+    @pytest.mark.parametrize("cells", [None, 100 * 64], ids=["one-block", "chunked"])
+    def test_matches_brute_force(self, spark, monkeypatch, domain_tensors_sf01, cells):
+        """LSA representations at sf 0.1: the exact pair set, and W2 values."""
+        t = domain_tensors_sf01
+        if cells:
+            monkeypatch.setattr(lsh, "_BLOCK_CELLS", cells)
+        want = _brute(t.ids["a"], t.mu["a"], t.sigma["a"], t.ids["b"], t.mu["b"], t.sigma["b"], 10)
+        got = _got(representations_frame(spark, t), 10)
+        assert set(got) == set(want)
+        for pair, w2 in got.items():
+            assert w2 == pytest.approx(want[pair], rel=1e-9)

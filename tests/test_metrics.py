@@ -97,3 +97,13 @@ class TestTopkPRF:
               ON t.id_a = n.id_a AND t.id_b = n.id_b
         """
         assert_equivalent(joined, sql, test=test, neigh=neigh)
+
+
+class TestOracle:
+    def test_oracle_catches_wrong_result(self, spark):
+        from pyspark.sql import functions as F
+
+        t = spark.createDataFrame(pd.DataFrame({"id_a": [1, 2, 3], "id_b": [4, 5, 6]}))
+        wrong = t.agg((F.count(F.lit(1)) + 1).alias("n"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(wrong, "SELECT count(*) AS n FROM t", t=t)

@@ -57,18 +57,6 @@ class TestVAE:
         assert mu.shape == (9, 5) and sigma.shape == (9, 5)
         assert (sigma > 0).all()
 
-    def test_sample_shape(self):
-        vae = VAE(8, 12, 5, seed=1)
-        mu, sigma = vae.encode(np.zeros((3, 8)))
-        z = vae.sample(mu, sigma, np.random.default_rng(1), n=7)
-        assert z.shape == (7, 3, 5)
-
-    def test_sample_centered_on_mu(self):
-        vae = VAE(8, 12, 5, seed=2)
-        mu, sigma = vae.encode(np.random.default_rng(2).normal(size=(2, 8)))
-        z = vae.sample(mu, sigma, np.random.default_rng(3), n=5000)
-        assert np.allclose(z.mean(axis=0), mu, atol=0.1 * sigma.max() + 0.05)
-
     def test_decode_shape(self):
         vae = VAE(8, 12, 5, seed=3)
         assert vae.decode(np.zeros((4, 5))).shape == (4, 8)
@@ -116,14 +104,13 @@ class TestVAE:
         l2 = VAE(6, 12, 4, seed=9).fit(X, epochs=5, seed=9)
         assert np.allclose(l1, l2)
 
-    def test_reconstruction_improves_with_training(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(500, 6))
-        vae = VAE(6, 24, 4, seed=10)
-        before = np.mean((vae.reconstruct(X, np.random.default_rng(0)) - X) ** 2)
-        vae.fit(X, epochs=30, seed=10)
-        after = np.mean((vae.reconstruct(X, np.random.default_rng(0)) - X) ** 2)
-        assert after < before
+    def test_losses_fall_over_training(self):
+        """The per-epoch losses `fit` returns: every late epoch below
+        every early one."""
+        X = np.random.default_rng(10).normal(size=(500, 6))
+        losses = VAE(6, 24, 4, seed=10).fit(X, epochs=30, seed=10)
+        assert len(losses) == 30
+        assert max(losses[-5:]) < min(losses[:5])
 
     def test_duplicates_encode_nearby(self):
         """Similarity preservation: near-identical inputs must land closer
