@@ -9,7 +9,6 @@ import pytest
 
 import repro.core.encode as encode
 import repro.core.lsh as lsh
-from repro.core.encode import representations_frame
 from repro.core.lsh import topk_pairs
 from repro.core.wasserstein import w2_squared
 
@@ -61,7 +60,7 @@ def _sorted(df, k):
     return pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
-def _frame(pairs: dict) -> pd.DataFrame:
+def _brute_frame(pairs: dict) -> pd.DataFrame:
     """`_brute`'s output as a frame shaped like `_sorted`'s."""
     (a, b), w2 = zip(*sorted(pairs)), [pairs[p] for p in sorted(pairs)]
     return pd.DataFrame({"id_a": np.array(a, np.int64), "id_b": np.array(b, np.int64), "w2": w2})
@@ -168,7 +167,8 @@ class TestDriverKernel:
         multi = _sorted(df, 3)
         assert len(threads) == 3
         pd.testing.assert_frame_equal(multi, single, check_exact=True)
-        pd.testing.assert_frame_equal(multi, _frame(_brute(*_sides(rows), 3)), check_exact=True)
+        want = _brute_frame(_brute(*_sides(rows), 3))
+        pd.testing.assert_frame_equal(multi, want, check_exact=True)
 
     def test_single_block_runs_inline(self, spark, monkeypatch):
         df, _ = _reps_df(spark, n_a=20, n_b=45, seed=13)
@@ -215,7 +215,7 @@ class TestGeneratedDomains:
         if cells:
             monkeypatch.setattr(lsh, "_BLOCK_CELLS", cells)
         want = _brute(t.ids["a"], t.mu["a"], t.sigma["a"], t.ids["b"], t.mu["b"], t.sigma["b"], 10)
-        got = _got(representations_frame(spark, t), 10)
+        got = _got(encode.representations_frame(spark, t), 10)
         assert set(got) == set(want)
         for pair, w2 in got.items():
             assert w2 == pytest.approx(want[pair], rel=1e-9)
