@@ -58,16 +58,22 @@ def _frame(
     mu: dict[str, np.ndarray],
     sigma: dict[str, np.ndarray],
 ) -> DataFrame:
-    """(id, table, mu, sigma) rows of every table."""
-    return spark.createDataFrame(pa.concat_tables([
-        pa.table({
+    """(id, table, mu, sigma) rows of every table, one partition per
+    record batch, sized so the frame has at least ``defaultParallelism``
+    partitions (or one per row, if there are fewer rows): a Spark job over
+    the frame, such as the top-k's Arrow collect, gets a task per core."""
+    n = sum(len(v) for v in ids.values())
+    size = max(1, n // spark.sparkContext.defaultParallelism)
+    batches = []
+    for t in sorted(ids):
+        tbl = pa.table({
             "id": pa.array(ids[t], pa.int64()),
             "table": pa.array([t] * len(ids[t]), pa.string()),
             "mu": _lists(mu[t]),
             "sigma": _lists(sigma[t]),
         })
-        for t in sorted(ids)
-    ]))
+        batches += tbl.to_batches(max_chunksize=size)
+    return spark.createDataFrame(pa.Table.from_batches(batches))
 
 
 def representations_frame(spark: SparkSession, tensors: DomainTensors) -> DataFrame:

@@ -84,6 +84,21 @@ class TestEncodeRepresentations:
                 assert np.array_equal(sigma, tensors.sigma[t][i])
 
     @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_partitions_cover_parallelism(self, spark, tensors, n):
+        """At least min(defaultParallelism, rows) partitions, so a Spark
+        job over the frame runs on every core even though the frame is
+        built on the driver."""
+        keep = {"a": slice(0, min(n, 9)), "b": slice(0, max(0, n - 9))}
+        small = DomainTensors(**{
+            f: {t: getattr(tensors, f)[t][keep[t]] for t in keep}
+            for f in ("ids", "irs", "mu", "sigma")
+        })
+        frame = representations_frame(spark, small)
+        assert frame.count() == n
+        want = min(spark.sparkContext.defaultParallelism, n)
+        assert frame.rdd.getNumPartitions() >= want
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
     def test_frames_of_few_rows(self, spark, tensors, n):
         """Frames of 1, 3 or 16 rows, the first two with table b empty,
         hold exactly their rows."""

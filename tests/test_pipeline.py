@@ -90,6 +90,11 @@ class TestDriverTensors:
             assert np.array_equal(np.stack(grp["mu"].to_numpy()), tiny_tensors.mu[t])
             assert np.array_equal(np.stack(grp["sigma"].to_numpy()), tiny_tensors.sigma[t])
 
+    def test_reps_df_partitions(self, spark, tiny_rep, tiny_tensors):
+        rows = sum(len(v) for v in tiny_tensors.ids.values())
+        want = min(spark.sparkContext.defaultParallelism, rows)
+        assert tiny_rep.reps_df.rdd.getNumPartitions() >= want
+
     def test_sampled_vae_independent_of_partitioning(self, tiny_domain, small_cfg):
         """With a cap that forces the VAE sample, inputs on 1 and on 5
         partitions give the same VAE weights and tensors, bit for bit."""
