@@ -12,19 +12,19 @@ The reparameterisation trick z = mu + sigma * eps keeps the sampling
 step differentiable.
 
 The `Encoder` is factored out so the Siamese matcher (§IV) can reuse it:
-its weights initialise both Siamese heads and receive mirrored gradient
-updates via `Encoder.backward(..., accumulate=True)`.
+its weights initialise both Siamese heads, which share one copy of them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.adam import Adam
-from repro.nn.layers import Dense, relu, relu_grad
+from repro.nn.layers import Dense, pack, relu, relu_grad
 
 
 class Encoder:
-    """IR -> (mu, logvar) via one ReLU hidden layer and two linear heads."""
+    """IR -> (mu, logvar) via one ReLU hidden layer and one linear head
+    whose output columns are ``[mu | logvar]``."""
 
     def __init__(
         self,
@@ -36,59 +36,64 @@ class Encoder:
     ):
         self.in_dim, self.hidden_dim, self.latent_dim = in_dim, hidden, latent
         self.h = Dense(in_dim, hidden, rng, dtype)
-        self.mu_head = Dense(hidden, latent, rng, dtype)
-        self.lv_head = Dense(hidden, latent, rng, dtype)
+        # The mu block, then the logvar block: the draws of two heads.
+        self.head = Dense(hidden, 2 * latent, rng, dtype, blocks=2)
         self._z_pre: np.ndarray | None = None
+
+    @property
+    def layers(self) -> list[Dense]:
+        return [self.h, self.head]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = self.h.forward(x)
         self._z_pre = z
-        a = relu(z)
-        return self.mu_head.forward(a), self.lv_head.forward(a)
+        out = self.head.forward(relu(z))
+        k = self.latent_dim
+        return out[:, :k], out[:, k:]
 
-    def backward(
-        self, g_mu: np.ndarray, g_lv: np.ndarray, *, accumulate: bool = False
-    ) -> None:
-        """Backprop dL/dmu and dL/dlogvar into the parameter grads.
+    def backward(self, g: np.ndarray) -> None:
+        """Backprop dL/d[mu | logvar], shape ``(batch, 2 * latent)``, into
+        the parameter grads.
 
         The input is data (IRs), so dL/dinput is never formed.
         """
-        ga = self.mu_head.backward(g_mu, accumulate=accumulate)
-        ga += self.lv_head.backward(g_lv, accumulate=accumulate)
-        self.h.backward(
-            ga * relu_grad(self._z_pre), accumulate=accumulate, input_grad=False
-        )
+        ga = self.head.backward(g)
+        self.h.backward(ga * relu_grad(self._z_pre), input_grad=False)
 
     @property
     def params(self) -> list[np.ndarray]:
-        return [*self.h.params, *self.mu_head.params, *self.lv_head.params]
+        return [p for layer in self.layers for p in layer.params]
 
     @property
     def grads(self) -> list[np.ndarray]:
-        return [*self.h.grads, *self.mu_head.grads, *self.lv_head.grads]
+        return [g for layer in self.layers for g in layer.grads]
 
-    # ---- pickle-light state for Spark broadcast -----------------------------
+    # ---- pickle-light state (transfer learning, driver encoding) -------------
     def state(self) -> dict[str, np.ndarray]:
+        """The weights as views, under the keys of separate mu and logvar
+        heads."""
+        k = self.latent_dim
+        W, b = self.head.W, self.head.b
         return {
             "h_W": self.h.W, "h_b": self.h.b,
-            "mu_W": self.mu_head.W, "mu_b": self.mu_head.b,
-            "lv_W": self.lv_head.W, "lv_b": self.lv_head.b,
+            "mu_W": W[:, :k], "mu_b": b[:k],
+            "lv_W": W[:, k:], "lv_b": b[k:],
         }
 
     def load_state(self, s: dict[str, np.ndarray]) -> None:
-        self.h.W, self.h.b = s["h_W"].copy(), s["h_b"].copy()
-        self.mu_head.W, self.mu_head.b = s["mu_W"].copy(), s["mu_b"].copy()
-        self.lv_head.W, self.lv_head.b = s["lv_W"].copy(), s["lv_b"].copy()
+        """Copy ``s`` into the weights in place: packed views stay valid."""
+        for key, w in self.state().items():
+            w[...] = s[key]
 
 
 def encode_with_state(
     state: dict[str, np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-function encoder for Spark executors: IRs -> (mu, sigma).
+    """Pure-function encoder: IRs -> (mu, sigma).
 
-    Avoids shipping layer objects (and their forward caches) inside
-    `mapInPandas`; only the weight dict is broadcast. ``x`` is cast to the
-    weights' dtype.
+    Needs only the weight dict, not layer objects with their forward
+    caches (`core/encode.py` encodes every tuple with it). ``x`` is cast
+    to the weights' dtype.
     """
     x = np.asarray(x, dtype=state["h_W"].dtype)
     a = relu(x @ state["h_W"] + state["h_b"])
@@ -114,6 +119,11 @@ class VAE:
         self.dec_h = Dense(latent, hidden, rng, dtype)
         self.dec_out = Dense(hidden, in_dim, rng, dtype)
         self.in_dim, self.hidden_dim, self.latent_dim = in_dim, hidden, latent
+        pack(self.layers)
+
+    @property
+    def layers(self) -> list[Dense]:
+        return [*self.encoder.layers, self.dec_h, self.dec_out]
 
     # ---- inference -----------------------------------------------------------
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +134,7 @@ class VAE:
     def decode(self, z: np.ndarray) -> np.ndarray:
         return self.dec_out.forward(relu(self.dec_h.forward(z)))
 
-    # ---- pickle-light state (Spark broadcast / transfer learning) ------------
+    # ---- pickle-light state (transfer learning) -------------------------------
     def state(self) -> dict[str, np.ndarray]:
         s = {f"enc_{k}": v for k, v in self.encoder.state().items()}
         s.update(
@@ -134,18 +144,17 @@ class VAE:
         return s
 
     def load_state(self, s: dict[str, np.ndarray]) -> None:
-        self.encoder.load_state({k[4:]: v for k, v in s.items() if k.startswith("enc_")})
-        self.dec_h.W, self.dec_h.b = s["dech_W"].copy(), s["dech_b"].copy()
-        self.dec_out.W, self.dec_out.b = s["deco_W"].copy(), s["deco_b"].copy()
+        for key, w in self.state().items():
+            w[...] = s[key]
 
     # ---- training ------------------------------------------------------------
     @property
     def params(self) -> list[np.ndarray]:
-        return [*self.encoder.params, *self.dec_h.params, *self.dec_out.params]
+        return [p for layer in self.layers for p in layer.params]
 
     @property
     def grads(self) -> list[np.ndarray]:
-        return [*self.encoder.grads, *self.dec_h.grads, *self.dec_out.grads]
+        return [g for layer in self.layers for g in layer.grads]
 
     def loss_and_grads(
         self, x: np.ndarray, rng: np.random.Generator
@@ -179,7 +188,7 @@ class VAE:
         # Reparameterisation: dz/dmu = 1; dz/dlogvar = 0.5 * sigma * eps.
         g_mu = g_z + mu / b
         g_lv = g_z * 0.5 * sigma * eps + 0.5 * (np.exp(logvar) - 1.0) / b
-        self.encoder.backward(g_mu, g_lv)
+        self.encoder.backward(np.concatenate([g_mu, g_lv], axis=1))
         return rec + kl, rec, kl
 
     def fit(
@@ -196,7 +205,8 @@ class VAE:
         ``X`` is cast to the parameters' dtype once."""
         X = np.asarray(X, dtype=self.dtype)
         rng = np.random.default_rng(seed)
-        opt = Adam(self.params, lr=lr)
+        params, grads = pack(self.layers)
+        opt = Adam([params], lr=lr)
         losses = []
         n = len(X)
         for _ in range(epochs):
@@ -206,6 +216,6 @@ class VAE:
                 idx = order[start : start + batch_size]
                 loss, _, _ = self.loss_and_grads(X[idx], rng)
                 total += loss * len(idx)
-                opt.step(self.grads)
+                opt.step([grads])
             losses.append(total / n)
         return losses

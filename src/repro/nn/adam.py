@@ -1,5 +1,8 @@
 """Adam optimizer (Kingma & Ba) over lists of parameter arrays.
 
+Each model passes one array: the flat buffer `layers.pack` keeps all its
+parameters in, so a step is one pass of each elementwise operation.
+
 The paper's Table III fixes Adam with learning rate 0.001 for both the
 representation and matching models; those are the defaults here.
 """

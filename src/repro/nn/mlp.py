@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.adam import Adam
-from repro.nn.layers import Dense, relu, relu_grad, sigmoid
+from repro.nn.layers import Dense, pack, relu, relu_grad, sigmoid
 
 
 def bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -35,6 +35,7 @@ class MLPClassifier:
         self.dtype = np.dtype(dtype)
         self._flush = np.sqrt(np.finfo(self.dtype).tiny)
         self.layers = [Dense(a, b, rng, dtype) for a, b in zip(dims[:-1], dims[1:])]
+        pack(self.layers)
         self._pre: list[np.ndarray] = []
 
     # ---- forward / backward -------------------------------------------------
@@ -68,13 +69,6 @@ class MLPClassifier:
             g = self.layers[i].backward(g, input_grad=i > 0 or input_grad)
         return g
 
-    def backward_bce(self, p: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Backprop mean binary cross-entropy; returns dL/dinput.
-
-        With a sigmoid output, dBCE/dlogit = (p - y) / batch.
-        """
-        return self.backward_from_logit_grad((p - y) / len(y))
-
     # ---- training -----------------------------------------------------------
     @property
     def params(self) -> list[np.ndarray]:
@@ -103,7 +97,8 @@ class MLPClassifier:
         X = np.asarray(X, dtype=self.dtype)
         y = np.asarray(y, dtype=self.dtype)
         rng = np.random.default_rng(seed)
-        opt = Adam(self.params, lr=lr)
+        params, grads = pack(self.layers)
+        opt = Adam([params], lr=lr)
         losses = []
         n = len(X)
         for _ in range(epochs):
@@ -114,9 +109,10 @@ class MLPClassifier:
                 p = self.forward(X[idx])
                 yb = y[idx]
                 epoch_loss += float(bce(p, yb).sum())
-                # The input is data: skip dL/dinput (see backward_bce).
+                # Mean BCE through a sigmoid: dL/dlogit = (p - y) / batch.
+                # The input is data, so dL/dinput is skipped.
                 self.backward_from_logit_grad((p - yb) / len(yb), input_grad=False)
-                opt.step(self.grads)
+                opt.step([grads])
             losses.append(epoch_loss / n)
         return losses
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.nn.adam import Adam
-from repro.nn.layers import Dense, he_init, relu, relu_grad, sigmoid
+from repro.nn.layers import Dense, he_init, pack, relu, relu_grad, sigmoid
 from repro.nn.mlp import MLPClassifier
 
 
@@ -65,25 +65,6 @@ class TestDense:
         assert np.allclose(layer.gW, x.T @ np.ones((4, 2)))
         assert np.allclose(layer.gb, np.full(2, 4.0))
         assert np.allclose(gx, np.ones((4, 2)) @ layer.W.T)
-
-    def test_backward_accumulate_adds(self):
-        rng = np.random.default_rng(3)
-        layer = Dense(3, 2, rng)
-        x = rng.normal(size=(4, 3))
-        layer.forward(x)
-        layer.backward(np.ones((4, 2)))
-        g1 = layer.gW.copy()
-        layer.forward(x)
-        layer.backward(np.ones((4, 2)), accumulate=True)
-        assert np.allclose(layer.gW, 2 * g1)
-
-    def test_zero_grad(self):
-        rng = np.random.default_rng(4)
-        layer = Dense(3, 2, rng)
-        layer.forward(rng.normal(size=(2, 3)))
-        layer.backward(np.ones((2, 2)))
-        layer.zero_grad()
-        assert not layer.gW.any() and not layer.gb.any()
 
     def test_he_init_scale(self):
         W = he_init(np.random.default_rng(5), 1000, 50)
@@ -172,7 +153,7 @@ class TestMLP:
 
         flat0 = np.concatenate([p.ravel().copy() for p in mlp.params])
         loss_at(flat0)
-        mlp.backward_bce(mlp.forward(X), y)
+        mlp.backward_from_logit_grad((mlp.forward(X) - y) / len(y))
         g = np.concatenate([gr.ravel().copy() for gr in mlp.grads])
         idx = rng.choice(len(flat0), 20, replace=False)
         for i in idx:
@@ -200,6 +181,19 @@ class TestMLP:
         assert np.allclose(p1.predict_proba(X), p2.predict_proba(X))
 
 
+_LR, _B1, _B2, _EPS = 1e-2, 0.9, 0.999, 1e-8
+
+
+def _textbook_step(ref, m, v, grads, t):
+    """The allocating textbook Adam update of each array of ``ref``."""
+    for i, g in enumerate(grads):
+        m[i] = _B1 * m[i] + (1 - _B1) * g
+        v[i] = _B2 * v[i] + (1 - _B2) * g * g
+        mhat = m[i] / (1 - _B1**t)
+        vhat = v[i] / (1 - _B2**t)
+        ref[i] = ref[i] - _LR * mhat / (np.sqrt(vhat) + _EPS)
+
+
 class TestAdamBuffers:
     def test_bit_identical_to_textbook_update(self):
         """The buffer-reusing step reproduces the allocating textbook
@@ -210,26 +204,66 @@ class TestAdamBuffers:
         ref = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
-        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
         for t in range(1, 51):
             grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 2) for s in shapes]
             opt.step(grads)
-            for i, g in enumerate(grads):
-                m[i] = b1 * m[i] + (1 - b1) * g
-                v[i] = b2 * v[i] + (1 - b2) * g * g
-                mhat = m[i] / (1 - b1**t)
-                vhat = v[i] / (1 - b2**t)
-                ref[i] = ref[i] - lr * mhat / (np.sqrt(vhat) + eps)
+            _textbook_step(ref, m, v, grads, t)
             assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
         assert all(np.array_equal(a, b) for a, b in zip(opt.m, m))
         assert all(np.array_equal(a, b) for a, b in zip(opt.v, v))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_buffer_matches_textbook_per_array_update(self, dtype):
+        """Stepping a model's one packed array is the textbook update of
+        each of its parameter arrays, bit for bit."""
+        rng = np.random.default_rng(9)
+        layers = [Dense(5, 3, rng, dtype), Dense(3, 1, rng, dtype)]
+        flat, grad = pack(layers)
+        params = [p for layer in layers for p in layer.params]
+        grads = [g for layer in layers for g in layer.grads]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        opt = Adam([flat], lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
+        for t in range(1, 51):
+            for g in grads:
+                g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-4, 2)
+            opt.step([grad])
+            _textbook_step(ref, m, v, grads, t)
+            assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
+        assert all(p.dtype == dtype for p in [*ref, *m, *v, *opt.m, *opt.v])
 
     def test_keeps_float32(self):
         p = np.ones(4, dtype=np.float32)
         opt = Adam([p])
         opt.step([np.full(4, 0.5, dtype=np.float32)])
         assert p.dtype == opt.m[0].dtype == opt.v[0].dtype == np.float32
+
+
+class TestPack:
+    def test_layers_hold_views_of_one_buffer(self):
+        rng = np.random.default_rng(10)
+        layers = [Dense(4, 3, rng), Dense(3, 2, rng)]
+        before = [p.copy() for layer in layers for p in layer.params]
+        flat, grad = pack(layers)
+        assert flat.size == grad.size == 4 * 3 + 3 + 3 * 2 + 2
+        after = [p for layer in layers for p in layer.params]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert all(p.base is flat for p in after)
+        assert all(g.base is grad for layer in layers for g in layer.grads)
+        layers[1].b[...] = 7.0
+        assert (flat[-2:] == 7.0).all()
+
+    def test_repacking_the_same_layers_keeps_the_buffer(self):
+        mlp = MLPClassifier(4, (3,), seed=11)
+        flat, grad = pack(mlp.layers)
+        again = pack(mlp.layers)
+        assert again[0] is flat and again[1] is grad
+        # A subset of the packed layers gets a buffer of its own.
+        own, _ = pack(mlp.layers[1:])
+        assert own is not flat and own.size == 3 + 1
+        assert mlp.layers[1].W.base is own
 
 
 class TestFloat32Default:

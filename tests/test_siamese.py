@@ -4,10 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.siamese import SiameseMatcher
-from repro.core.vae import VAE
+from repro.core.siamese import SiameseMatcher, _distinct, _identity
+from repro.core.vae import VAE, Encoder
 from repro.nn.adam import Adam
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, pack
 from repro.nn.mlp import MLPClassifier
 
 
@@ -21,6 +21,49 @@ def _enc_state(d=7, h=9, k=5, seed=3, scale=0.3):
         "lv_W": rng.normal(size=(h, k)) * 0.05,
         "lv_b": rng.normal(size=k) * 0.05,
     }
+
+
+def _repeated_batch(seed=16):
+    """Eight pairs of arity 3 whose IR rows repeat as in real training
+    sets: tuples shared across pairs, a categorical attribute with two
+    values, empty (all-zero) values, and (x, x) pairs."""
+    rng = np.random.default_rng(seed)
+    tuples = rng.normal(size=(5, 3, 7)) * 0.5
+    tuples[:, 1] = rng.normal(size=(2, 7))[[0, 1, 0, 0, 1]] * 0.5
+    tuples[[1, 3], 2] = 0.0
+    a = np.array([0, 1, 2, 0, 3, 4, 2, 1])
+    b = np.array([1, 1, 3, 2, 0, 4, 4, 3])
+    y = np.array([1.0, 1, 0, 0, 1, 0, 1, 0])
+    return tuples[a], tuples[b], y
+
+
+def _distinct_rows(sm, Xs, Xt):
+    """The distinct IR rows of a batch and the index of `_forward`."""
+    X, index = _identity(Xs, Xt, sm.dtype)
+    rows, inverse = _distinct(X)
+    return rows, inverse.reshape(index.shape)
+
+
+def _gradcheck(sm, loss, rng, n_params=40):
+    """Central differences of ``loss()`` against `sm.grads` it fills."""
+
+    def loss_at(flat):
+        off = 0
+        for p in sm.params:
+            p[...] = flat[off : off + p.size].reshape(p.shape)
+            off += p.size
+        return loss()
+
+    flat0 = np.concatenate([p.ravel().copy() for p in sm.params])
+    loss_at(flat0)
+    g = np.concatenate([gr.ravel().copy() for gr in sm.grads])
+    for i in rng.choice(len(flat0), n_params, replace=False):
+        e = 1e-6
+        fp, fm = flat0.copy(), flat0.copy()
+        fp[i] += e
+        fm[i] -= e
+        gn = (loss_at(fp) - loss_at(fm)) / (2 * e)
+        assert gn == pytest.approx(g[i], rel=1e-3, abs=1e-7)
 
 
 class TestForward:
@@ -53,8 +96,8 @@ class TestForward:
     def test_shared_weights_initialised_from_state(self):
         state = _enc_state()
         sm = SiameseMatcher(state, arity=2, hidden=6, seed=4)
-        assert np.allclose(sm.encoder.h.W, state["h_W"])
-        assert np.allclose(sm.encoder.mu_head.W, state["mu_W"])
+        for key, w in sm.encoder.state().items():
+            assert np.array_equal(w, state[key]), key
 
 
 class TestLossAndGradients:
@@ -65,25 +108,48 @@ class TestLossAndGradients:
         Xs = rng.normal(size=(4, 3, 7)) * 0.5
         Xt = Xs + rng.normal(size=(4, 3, 7)) * 0.3
         y = np.array([1.0, 0.0, 1.0, 0.0])
+        _gradcheck(sm, lambda: sm.loss_and_grads(Xs, Xt, y)[0], rng)
 
-        def loss_at(flat):
-            off = 0
-            for p in sm.params:
-                p[...] = flat[off : off + p.size].reshape(p.shape)
-                off += p.size
-            loss, _, _ = sm.loss_and_grads(Xs, Xt, y)
-            return loss
+    def test_gradcheck_distinct_rows(self):
+        """The kernel over a batch's distinct rows, on a batch whose rows
+        repeat (each occurrence's gradient summed onto its row)."""
+        sm = SiameseMatcher(_enc_state(), arity=3, hidden=6, margin=0.5, seed=17)
+        Xs, Xt, y = _repeated_batch()
+        rows, index = _distinct_rows(sm, Xs, Xt)
+        assert len(rows) < 0.5 * index.size
+        assert np.array_equal(rows[index.ravel()], _identity(Xs, Xt, sm.dtype)[0])
+        _gradcheck(sm, lambda: sm._loss_and_grads(rows, index, y)[0],
+                   np.random.default_rng(17), n_params=60)
 
-        flat0 = np.concatenate([p.ravel().copy() for p in sm.params])
-        loss_at(flat0)
-        g = np.concatenate([gr.ravel().copy() for gr in sm.grads])
-        for i in rng.choice(len(flat0), 40, replace=False):
-            e = 1e-6
-            fp, fm = flat0.copy(), flat0.copy()
-            fp[i] += e
-            fm[i] -= e
-            gn = (loss_at(fp) - loss_at(fm)) / (2 * e)
-            assert gn == pytest.approx(g[i], rel=1e-3, abs=1e-7)
+    def test_distinct_row_step_matches_per_row_step(self, monkeypatch):
+        """Each `fit` step encodes the distinct rows of its batch once, and
+        its loss and gradient equal the per-row pass's in float64."""
+        Xs, Xt, y = _repeated_batch()
+        sm = SiameseMatcher(_enc_state(), arity=3, hidden=6, seed=18)
+        ref = SiameseMatcher(_enc_state(), arity=3, hidden=6, seed=18)
+        got, encoded = [], []
+        fwd = Encoder.forward
+
+        def rec_fwd(self, x):
+            encoded.append(len(x))
+            return fwd(self, x)
+
+        monkeypatch.setattr(Encoder, "forward", rec_fwd)
+        # Record each step's gradient; the weights stay put.
+        monkeypatch.setattr(Adam, "step", lambda self, grads: got.append(grads[0].copy()))
+        losses = sm.fit(Xs, Xt, y, epochs=1, batch_size=5, seed=18)
+        order = np.random.default_rng(18).permutation(len(y))
+        total = 0.0
+        for step, idx in enumerate([order[:5], order[5:]]):
+            assert encoded[step] == len(_distinct_rows(sm, Xs[idx], Xt[idx])[0])
+            loss, _, _ = ref.loss_and_grads(Xs[idx], Xt[idx], y[idx])
+            total += loss * len(idx)
+            want = pack(ref.layers)[1]
+            np.testing.assert_allclose(
+                got[step], want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
+        assert encoded[0] < 2 * 5 * 3
+        assert losses[0] == pytest.approx(total / len(y), rel=1e-12)
 
     def test_loss_components(self):
         sm = SiameseMatcher(_enc_state(), arity=2, hidden=6, seed=5)

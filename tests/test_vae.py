@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.vae import VAE, Encoder, encode_with_state
+from repro.nn.layers import he_init, pack
 
 
 class _FixedRng:
@@ -48,6 +49,36 @@ class TestEncoder:
         mu2, sg2 = encode_with_state(enc.state(), x)
         assert np.allclose(mu1, mu2)
         assert np.allclose(np.exp(0.5 * lv1), sg2)
+
+
+    def test_fused_head_draws_like_two_heads(self):
+        """One [mu | logvar] head starts from the weights that a hidden
+        layer, a mu head and a logvar head drew from the rng in turn."""
+        enc = Encoder(6, 10, 4, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        want = {"h_W": he_init(rng, 6, 10), "mu_W": he_init(rng, 10, 4),
+                "lv_W": he_init(rng, 10, 4)}
+        s = enc.state()
+        assert sorted(s) == ["h_W", "h_b", "lv_W", "lv_b", "mu_W", "mu_b"]
+        for key, w in want.items():
+            assert s[key].dtype == np.float32
+            assert np.array_equal(s[key], w.astype(np.float32)), key
+        assert not any(s[key].any() for key in ("h_b", "mu_b", "lv_b"))
+
+    def test_load_state_writes_into_packed_views(self):
+        """`load_state` copies into the weights a packed model steps, and
+        the state it loaded reads back unchanged."""
+        e1 = Encoder(6, 10, 4, np.random.default_rng(7))
+        vae = VAE(6, 10, 4, seed=8)
+        flat, _ = pack(vae.layers)
+        vae.encoder.load_state(e1.state())
+        assert pack(vae.layers)[0] is flat
+        for key, w in vae.encoder.state().items():
+            assert np.array_equal(w, e1.state()[key]) and w.base is flat, key
+        x = np.random.default_rng(9).normal(size=(5, 6))
+        mu, sigma = encode_with_state(vae.encoder.state(), x)
+        assert np.allclose(mu, e1.forward(x.astype(np.float32))[0], rtol=1e-6)
+        assert np.allclose(vae.encode(x)[1], sigma, rtol=1e-6)
 
 
 class TestVAE:
