@@ -22,6 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.active import DomainTensors
 from repro.core.vae import encode_with_state
+from repro.ir.api import float_lists
 
 # Attribute values per encoder call: bounds the hidden-layer temporaries.
 _CHUNK = 1 << 16
@@ -42,16 +43,6 @@ def encode_irs(
     return mu.reshape(n, m * k), sigma.reshape(n, m * k)
 
 
-def _lists(x: np.ndarray) -> pa.ListArray:
-    """Rows of a 2-d array as an Arrow list<float> column. Exact for the
-    encoder's outputs and the IRs, which are float32 values."""
-    n, w = x.shape
-    return pa.ListArray.from_arrays(
-        pa.array(np.arange(0, n * w + 1, w, dtype=np.int32)),
-        pa.array(x.astype(np.float32).reshape(-1)),
-    )
-
-
 def _frame(
     spark: SparkSession,
     ids: dict[str, np.ndarray],
@@ -69,8 +60,8 @@ def _frame(
         tbl = pa.table({
             "id": pa.array(ids[t], pa.int64()),
             "table": pa.array([t] * len(ids[t]), pa.string()),
-            "mu": _lists(mu[t]),
-            "sigma": _lists(sigma[t]),
+            "mu": float_lists(mu[t]),
+            "sigma": float_lists(sigma[t]),
         })
         batches += tbl.to_batches(max_chunksize=size)
     return spark.createDataFrame(pa.Table.from_batches(batches))

@@ -25,7 +25,9 @@ from repro.ir import build_irs, ir_tensor
 @dataclass
 class RepresentationResult:
     vae: VAE
-    irs_df: DataFrame  # (id, table, irs), read once by the collect
+    # (id, table, irs), read once by the collect; the LSA frame is built
+    # from the driver's IR array, the other kinds' frames are lazy.
+    irs_df: DataFrame
     reps_df: DataFrame  # built from `tensors`: (id, table, mu, sigma)
     ir_seconds: float
     train_seconds: float

@@ -1,35 +1,36 @@
 """LSA IRs: hashed TF-IDF + truncated SVD topic projection (§III-B).
 
-Two `mapInPandas` passes over the union of the two (unmelted) tables:
+Runs on the driver. The union of the two (unmelted) tables is collected
+once with `toArrow` (a JVM-only job: no Python worker) and read in chunks
+of ``_CHUNK`` tuples:
 
-  pass 1  each partition tokenizes its values, hashes tokens into
-          ``vocab_dim`` buckets and returns its value count ``m``, the
-          document frequency per bucket and the nonzeros of the integer
-          term-frequency gram ``G = sum_v tf_v tf_v^T`` (one job, Arrow).
-  driver  ``idf = log((m + 1) / (df + 1))`` (Spark ML's IDF),
-          ``gram = idf * G * idf`` = X^T X of the TF-IDF matrix X,
-          V = top ``dim`` eigenvectors of the gram (numpy eigh over the
-          occupied buckets only: the other rows and columns are 0).
-  pass 2  IR = L2-normalised projection ``tf_v @ (idf * V)`` of every value,
-          emitted per tuple as ``(id, table, irs)``, ``irs`` the flat
-          float32 concatenation in ``attrs`` order, on the input
-          partitions (no shuffle) unless a partition's IRs would exceed
-          ``_PART_CELLS`` cells; then the (id, strings) rows are first
-          spread round-robin over more partitions.
+  tokenize  each value is tokenized and its tokens hashed into
+            ``vocab_dim`` buckets once; each chunk keeps its sparse TF
+            triplets (value, bucket, count), and the collected strings are
+            dropped.
+  gram      the document frequency per bucket and the integer
+            term-frequency gram ``G = sum_v tf_v tf_v^T`` are summed over
+            the triplets; ``idf = log((m + 1) / (df + 1))`` (Spark ML's
+            IDF), ``gram = idf * G * idf`` = X^T X of the TF-IDF matrix X,
+            V = top ``dim`` eigenvectors of the gram (numpy eigh over the
+            occupied buckets only: the other rows and columns are 0).
+  project   IR = L2-normalised projection ``tf_v @ (idf * V)`` of every
+            value, into one float32 (tuples, arity * dim) array whose rows
+            are the tuples' IRs concatenated in ``attrs`` order.
 
 Tokens and buckets equal those of `tokenize.melt` + Spark ML `HashingTF`
 (MurmurHash3_x86_32, seed 42), so this is the classic LSI of that
-TF-IDF matrix. ``G`` is a sum of integers, exact in float64, so the gram
-does not depend on the partitioning; neither does any IR. No dense
-values x vocab_dim block is ever built.
+TF-IDF matrix. ``G`` is a sum of integers, exact in float64, and a value
+never spans two chunks, so neither the gram nor any IR depends on how the
+input is partitioned or on the chunk size. No dense values x vocab_dim
+block is ever built.
 """
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -37,15 +38,14 @@ from repro.ir.tokenize import value_columns
 
 _NON_ALNUM = re.compile(r"[^a-zA-Z0-9]+")
 _M32 = 0xFFFFFFFF
-# Tuples per chunk of an Arrow batch: bounds the pair and projection
-# temporaries. A value never spans two chunks, so its arithmetic, and
-# hence its IR, does not depend on how the input is partitioned.
-_CHUNK = 1024
-# IR cells per pass-2 partition. An IR is ~100x the bytes of its value,
-# so partitions sized for the input tables are split (round-robin) when
-# their IRs would exceed this; 4 MB partitions keep the JVM's per-task
-# Arrow buffers small when the IRs are collected.
-_PART_CELLS = 1 << 20
+# Tuples per chunk: bounds the pair and projection temporaries on the
+# driver (the float64 ``count * W[bk]`` gather holds ``dim`` floats per
+# (value, bucket) entry: ~2.7 MB per chunk at music sf=1). A value never
+# spans two chunks, so no IR depends on this size.
+_CHUNK = 128
+
+# Sparse TF rows of a chunk: (value index, bucket, count), see `_term_counts`.
+Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def tokens(value: str) -> list[str]:
@@ -97,15 +97,9 @@ def value_table(a: DataFrame, b: DataFrame, attrs: list[str]) -> DataFrame:
     return side(a, "a").unionByName(side(b, "b"))
 
 
-def _chunks(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for pdf in it:
-        for s in range(0, len(pdf), _CHUNK):
-            yield pdf.iloc[s : s + _CHUNK]
-
-
 def _term_counts(
     values: np.ndarray, vocab_dim: int, cache: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Triplets:
     """Sparse TF rows of ``values``: (value index, bucket, count), sorted."""
     vi: list[int] = []
     bk: list[int] = []
@@ -118,62 +112,60 @@ def _term_counts(
             bk.append(j)
     key = np.asarray(vi, dtype=np.int64) * vocab_dim + np.asarray(bk, dtype=np.int64)
     key, count = np.unique(key, return_counts=True)
-    return key // vocab_dim, key % vocab_dim, count
+    # int32 halves what the chunks keep until the projection.
+    return (
+        (key // vocab_dim).astype(np.int32),
+        (key % vocab_dim).astype(np.int32),
+        count.astype(np.int32),
+    )
 
 
-def _pair_gram(vi: np.ndarray, bk: np.ndarray, count: np.ndarray, vocab_dim: int) -> np.ndarray:
-    """Flat ``sum_v tf_v tf_v^T`` over the bucket pairs within each value."""
+def _pair_gram(vi: np.ndarray, bk: np.ndarray, count: np.ndarray, g: np.ndarray) -> None:
+    """Add ``sum_v tf_v tf_v^T``, over the bucket pairs within each value,
+    to the (vocab_dim, vocab_dim) float64 gram ``g``. Every term is an
+    integer, so the sum is exact in any order."""
     lens = np.bincount(vi)
     per = lens[vi]  # partners of each entry: the entries of its own value
     left = np.repeat(np.arange(len(vi)), per)
     offset = np.arange(len(left)) - np.repeat(np.cumsum(per) - per, per)
     right = np.repeat(np.cumsum(lens)[vi] - per, per) + offset
-    return np.bincount(
-        bk[left] * vocab_dim + bk[right],
-        weights=(count[left] * count[right]).astype(np.float64),
-        minlength=vocab_dim * vocab_dim,
+    np.add.at(
+        g.reshape(-1),
+        bk[left] * len(g) + bk[right],
+        (count[left] * count[right]).astype(np.float64),
     )
 
 
+def term_counts(values: pa.Table, vocab_dim: int) -> list[Triplets]:
+    """Collected `value_table` output -> the sparse TF triplets of each
+    chunk of ``_CHUNK`` tuples; a value's index counts row-major (tuple,
+    then attribute) within its chunk. Each value is tokenized once."""
+    cols = [c for c in values.column_names if c not in ("id", "table")]
+    cache: dict[str, int] = {}
+    out = []
+    for s in range(0, values.num_rows, _CHUNK):
+        chunk = values.slice(s, _CHUNK)
+        strings = np.stack(
+            [chunk.column(c).to_numpy(zero_copy_only=False) for c in cols], axis=1
+        )
+        out.append(_term_counts(strings.ravel(), vocab_dim, cache))
+    return out
+
+
 def tfidf_gram(
-    values: DataFrame, vocab_dim: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pass 1 over `value_table` output: (idf, X^T X) of its TF-IDF matrix X,
-    and the number of values in each non-empty partition."""
-    cols = [c for c in values.columns if c not in ("id", "table")]
-
-    def stats(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        m, cache = 0, {}
-        doc_freq = np.zeros(vocab_dim, dtype=np.int64)
-        g = np.zeros(vocab_dim * vocab_dim)
-        for pdf in _chunks(it):
-            vi, bk, count = _term_counts(pdf[cols].to_numpy().ravel(), vocab_dim, cache)
-            m += pdf.shape[0] * len(cols)
-            doc_freq += np.bincount(bk, minlength=vocab_dim)
-            g += _pair_gram(vi, bk, count, vocab_dim)
-        if m:
-            nz = np.flatnonzero(g)
-            yield pd.DataFrame(
-                {"m": [m], "df": [doc_freq], "key": [nz], "tf2": [g[nz]]}
-            )
-
-    parts = values.mapInPandas(
-        stats, schema="m long, df array<long>, key array<long>, tf2 array<double>"
-    ).toArrow()
-
-    def flat(col: str) -> np.ndarray:
-        return parts.column(col).combine_chunks().flatten().to_numpy()
-
-    part_values = parts.column("m").to_numpy()
-    m = int(part_values.sum())
-    df = flat("df").reshape(-1, vocab_dim).sum(axis=0)
-    # Integer sums are exact, so the order partitions arrive in is irrelevant.
-    g = np.bincount(flat("key"), weights=flat("tf2"), minlength=vocab_dim * vocab_dim)
-    idf = np.log((m + 1.0) / (df + 1.0))
-    gram = g.reshape(vocab_dim, vocab_dim)
+    tf: list[Triplets], m: int, vocab_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(idf, X^T X) of the TF-IDF matrix X of ``m`` values, from their TF
+    triplets (`term_counts`)."""
+    doc_freq = np.zeros(vocab_dim, dtype=np.int64)
+    gram = np.zeros((vocab_dim, vocab_dim))
+    for vi, bk, count in tf:
+        doc_freq += np.bincount(bk, minlength=vocab_dim)
+        _pair_gram(vi, bk, count, gram)
+    idf = np.log((m + 1.0) / (doc_freq + 1.0))
     gram *= idf[:, None]
     gram *= idf
-    return idf, gram, part_values
+    return idf, gram
 
 
 def top_eigenvectors(gram: np.ndarray, dim: int) -> np.ndarray:
@@ -197,42 +189,30 @@ def top_eigenvectors(gram: np.ndarray, dim: int) -> np.ndarray:
 
 def lsa_irs(
     a: DataFrame, b: DataFrame, attrs: list[str], *, dim: int, vocab_dim: int = 1024
-) -> DataFrame:
-    """Per-tuple LSA IRs ``(id, table, irs)``, ``irs`` a flat float32
-    arity x ``dim`` matrix.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-tuple LSA IRs ``(ids, tables, X)`` in collect order, ``X`` the
+    float32 (tuples, arity * dim) IRs.
 
     ``dim`` topics; empty values yield all-zero IRs (no token mass).
     """
     assert dim <= vocab_dim, "topic count cannot exceed hashed vocab size"
-    values = value_table(a, b, attrs)
-    idf, gram, part_values = tfidf_gram(values, vocab_dim)
-    if part_values.max(initial=0) * dim > _PART_CELLS:
-        values = values.repartition(-(-int(part_values.sum()) * dim // _PART_CELLS))
+    values = value_table(a, b, attrs).toArrow()
+    # Copies, so that no view keeps the collected strings alive.
+    ids = values.column("id").to_numpy().copy()
+    tables = values.column("table").to_numpy(zero_copy_only=False)
+    m = values.num_rows * len(attrs)
+    tf = term_counts(values, vocab_dim)
+    del values
+    idf, gram = tfidf_gram(tf, m, vocab_dim)
     # tf @ (idf * V) is the TF-IDF row projected onto the topics.
-    bW = values.sparkSession.sparkContext.broadcast(
-        idf[:, None] * top_eigenvectors(gram, dim)
-    )
-    arity = len(attrs)
-    cols = [f"v{i}" for i in range(arity)]
-
-    def project(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        W, cache = bW.value, {}
-        for pdf in _chunks(it):
-            n = pdf.shape[0] * arity
-            vi, bk, count = _term_counts(pdf[cols].to_numpy().ravel(), vocab_dim, cache)
-            P = np.zeros((n, dim))
-            if len(vi):
-                starts = np.flatnonzero(np.r_[True, vi[1:] != vi[:-1]])
-                P[vi[starts]] = np.add.reduceat(count[:, None] * W[bk], starts)
-            P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-            yield pd.DataFrame(
-                {
-                    "id": pdf["id"].to_numpy(),
-                    "table": pdf["table"].to_numpy(),
-                    "irs": list(P.astype(np.float32).reshape(-1, arity * dim)),
-                }
-            )
-
-    return values.mapInPandas(
-        project, schema="id long, table string, irs array<float>"
-    )
+    W = idf[:, None] * top_eigenvectors(gram, dim)
+    X = np.empty((m, dim), dtype=np.float32)
+    step = _CHUNK * len(attrs)
+    for lo, (vi, bk, count) in zip(range(0, m, step), tf):
+        P = np.zeros((min(step, m - lo), dim))
+        if len(vi):
+            starts = np.flatnonzero(np.r_[True, vi[1:] != vi[:-1]])
+            P[vi[starts]] = np.add.reduceat(count[:, None] * W[bk], starts)
+        P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
+        X[lo : lo + len(P)] = P
+    return ids, tables, X.reshape(len(ids), len(attrs) * dim)

@@ -8,7 +8,7 @@ import pytest
 from repro.ir import IR_KINDS, build_irs, ir_tensor
 from repro.ir.bert_sim import encode_values
 from repro.ir.lsa import (
-    bucket, lsa_irs, tfidf_gram, tokens, top_eigenvectors, value_table,
+    bucket, lsa_irs, term_counts, tfidf_gram, tokens, top_eigenvectors, value_table,
 )
 from repro.ir.tokenize import assemble, melt, melt_both
 from repro.oracle import assert_equivalent
@@ -133,6 +133,31 @@ class TestBuildIrs:
         assert np.allclose(irs[0, 0], irs[1, 0], atol=1e-9)  # a/0 and a/1
 
 
+def test_ir_tensor_sorts_rows_across_record_batches():
+    """A collected frame arrives as several record batches in partition
+    order; every row lands at its (table, id) place with its own IRs."""
+    import pyarrow as pa
+
+    from repro.ir.api import float_lists
+
+    rng = np.random.default_rng(0)
+    n, arity, dim = 11, 2, 3
+    ids = rng.permutation(n).astype(np.int64)
+    tables = rng.choice(["a", "b"], n)
+    X = rng.standard_normal((n, arity * dim)).astype(np.float32)
+    whole = pa.table({"id": ids, "table": tables, "irs": float_lists(X)})
+    # Uneven batches; slices carry a nonzero list offset.
+    irs = pa.Table.from_batches(
+        whole.slice(lo, hi - lo).to_batches()[0] for lo, hi in ((0, 4), (4, 5), (5, n))
+    )
+    assert irs.column("irs").num_chunks == 3
+    got_ids, got_tables, got = ir_tensor(irs, arity)
+    order = np.lexsort((ids, tables))
+    assert np.array_equal(got_ids, ids[order])
+    assert np.array_equal(got_tables, tables[order])
+    assert np.array_equal(got, X[order].reshape(n, arity, dim))
+
+
 class TestLsaProperties:
     def test_similar_values_closer(self, spark):
         names = [
@@ -160,8 +185,16 @@ class TestLsaProperties:
 VOCAB = 1024
 
 
-def _sorted_irs(irs_df, arity: int) -> np.ndarray:
-    return ir_tensor(irs_df.toArrow(), arity)[2]
+def _lsa(a, b, attrs, dim: int = 16):
+    """(ids, tables, X) of the LSA IR frame, sorted by (table, id)."""
+    return ir_tensor(
+        build_irs(a, b, attrs, kind="lsa", dim=dim, vocab_dim=VOCAB).toArrow(), len(attrs)
+    )
+
+
+def _gram(a, b, attrs) -> tuple[np.ndarray, np.ndarray]:
+    values = value_table(a, b, attrs).toArrow()
+    return tfidf_gram(term_counts(values, VOCAB), values.num_rows * len(attrs), VOCAB)
 
 
 @pytest.fixture(scope="module", params=["citations1", "stocks"])
@@ -186,7 +219,7 @@ def lsa_oracle(request, spark):
 
 
 class TestLsaOracle:
-    """The two-pass LSA against Spark ML as the oracle."""
+    """The driver-side LSA against Spark ML as the oracle."""
 
     def test_tokenizer_matches_melt(self, lsa_oracle):
         _, pdf, _, _ = lsa_oracle
@@ -212,7 +245,7 @@ class TestLsaOracle:
 
     def test_idf_and_gram_match_spark_ml(self, lsa_oracle):
         d, _, idf_ref, X = lsa_oracle
-        idf, gram, _ = tfidf_gram(value_table(d.a, d.b, d.attrs), VOCAB)
+        idf, gram = _gram(d.a, d.b, d.attrs)
         np.testing.assert_allclose(idf, idf_ref, rtol=1e-12, atol=0)
         np.testing.assert_allclose(gram, X.T @ X, rtol=1e-12, atol=0)
 
@@ -226,9 +259,8 @@ class TestLsaOracle:
         dim = next(k for k in range(24, VOCAB) if not tie[k - 1])
         P = X @ vecs[:, :dim]
         P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-        ids, tables, irs = ir_tensor(
-            lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB).toArrow(), len(d.attrs)
-        )
+        ids, tables, irs = lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB)
+        irs = irs.reshape(len(ids), len(d.attrs), dim)
         row = {(t, i): r for r, (t, i) in enumerate(zip(tables, ids))}
         got = np.stack([
             irs[row[(t, i)], j]
@@ -282,33 +314,42 @@ class TestLsaOracle:
         d, _, _, _ = lsa_oracle
         one = [t.repartition(1) for t in (d.a, d.b)]
         five = [t.repartition(5) for t in (d.a, d.b)]
-        _, gram1, _ = tfidf_gram(value_table(*one, d.attrs), VOCAB)
-        _, gram5, _ = tfidf_gram(value_table(*five, d.attrs), VOCAB)
-        assert np.array_equal(gram1, gram5)
-        irs1 = _sorted_irs(lsa_irs(*one, d.attrs, dim=16, vocab_dim=VOCAB), len(d.attrs))
-        irs5 = _sorted_irs(lsa_irs(*five, d.attrs, dim=16, vocab_dim=VOCAB), len(d.attrs))
+        assert np.array_equal(_gram(*one, d.attrs)[1], _gram(*five, d.attrs)[1])
+        irs1 = _lsa(*one, d.attrs)[2]
+        irs5 = _lsa(*five, d.attrs)[2]
         assert np.array_equal(irs1, irs5)
 
-    def test_no_shuffle(self, toy_tables):
-        a, b = toy_tables
-        irs = lsa_irs(a, b, ATTRS, dim=8, vocab_dim=64)
-        assert "Exchange" not in irs._jdf.queryExecution().executedPlan().toString()
-        parts = a.rdd.getNumPartitions() + b.rdd.getNumPartitions()
-        assert irs.rdd.getNumPartitions() == parts
-
-    def test_large_partitions_split(self, monkeypatch, lsa_oracle):
-        """Partitions whose IRs would exceed the cell budget are split
-        round-robin; the IRs themselves do not change."""
+    def test_chunk_invariant(self, monkeypatch, lsa_oracle):
+        """A value never spans two chunks, so the chunk size changes no bit
+        of the gram or of any IR."""
         import repro.ir.lsa as lsa
 
         d, _, _, _ = lsa_oracle
-        whole = lsa_irs(d.a, d.b, d.attrs, dim=16, vocab_dim=VOCAB)
-        monkeypatch.setattr(lsa, "_PART_CELLS", 16 * len(d.attrs) * 10)
-        split = lsa_irs(d.a, d.b, d.attrs, dim=16, vocab_dim=VOCAB)
-        n = d.a.count() + d.b.count()
-        assert split.rdd.getNumPartitions() == -(-n // 10)
-        arity = len(d.attrs)
-        assert np.array_equal(_sorted_irs(whole, arity), _sorted_irs(split, arity))
+        want_gram = _gram(d.a, d.b, d.attrs)[1]
+        want = _lsa(d.a, d.b, d.attrs)
+        assert d.a.count() + d.b.count() > lsa._CHUNK
+        for chunk in (1, 7):
+            monkeypatch.setattr(lsa, "_CHUNK", chunk)
+            assert np.array_equal(_gram(d.a, d.b, d.attrs)[1], want_gram)
+            for got, ref in zip(_lsa(d.a, d.b, d.attrs), want):
+                assert np.array_equal(got, ref)
+
+    def test_no_python_worker_pass(self, monkeypatch, toy_tables):
+        """LSA runs on the driver: no `mapInPandas` job over the tables."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LSA started a Python-worker pass")
+
+        a, b = toy_tables
+        # The session's concrete DataFrame class, which overrides the
+        # `pyspark.sql.DataFrame` method.
+        monkeypatch.setattr(type(a), "mapInPandas", refuse)
+        out = build_irs(a, b, ATTRS, kind="lsa", dim=8, vocab_dim=64)
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert not any(op in plan for op in ("MapInPandas", "MapInArrow", "EvalPython"))
+        ids, tables, irs = ir_tensor(out.toArrow(), len(ATTRS))
+        assert list(zip(tables, ids)) == [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)]
+        assert irs.shape == (5, 2, 8) and irs[2, 0].sum() == 0  # a/2's name is null
 
 
 def test_unknown_kind_rejected(spark, toy_tables):
