@@ -1,9 +1,9 @@
 """Reproduction harnesses for the paper's evaluation tables (§VI).
 
 Each function returns a pandas DataFrame whose rows mirror the paper's
-table layout; `jobs/` wraps them for spark-submit, `benchmarks/` times
-them, and EXPERIMENTS.md records their output next to the paper's
-numbers.
+table layout; `jobs/` wraps them for spark-submit (`jobs/run_all.py`
+prints each table's wall time), and EXPERIMENTS.md records their output
+next to the paper's numbers.
 """
 from __future__ import annotations
 

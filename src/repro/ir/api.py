@@ -8,11 +8,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from pyspark.sql import DataFrame
 
-from repro.ir.bert_sim import bert_attr_irs
-from repro.ir.embdi import embdi_attr_irs
+from repro.ir.bert_sim import bert_irs
+from repro.ir.embdi import embdi_irs
 from repro.ir.lsa import lsa_irs
-from repro.ir.tokenize import assemble, melt_both
-from repro.ir.w2v import w2v_attr_irs
+from repro.ir.tokenize import value_chunks, value_table
+from repro.ir.w2v import w2v_irs
 
 IR_KINDS = ("lsa", "w2v", "bert", "embdi")
 
@@ -32,26 +32,38 @@ def build_irs(
     Returns ``(id, table, irs)`` with ``irs`` the flat float32 arity x dim
     matrix, attributes in ``attrs`` order; the row count equals |a| + |b|
     and ``table`` is 'a' or 'b'.
+
+    Every kind runs on the driver over one `toArrow` collect of the value
+    table (a JVM-only job), its tuples sorted by (table, id).
     """
-    if kind == "lsa":
-        ids, tables, X = lsa_irs(a, b, attrs, dim=dim, vocab_dim=vocab_dim)
-        return a.sparkSession.createDataFrame(
-            pa.table({
-                "id": pa.array(ids, pa.int64()),
-                "table": pa.array(tables, pa.string()),
-                "irs": float_lists(X),
-            })
-        )
-    melted = melt_both(a, b, attrs)
-    if kind == "w2v":
-        attr_ir = w2v_attr_irs(melted, dim=dim, seed=seed)
-    elif kind == "bert":
-        attr_ir = bert_attr_irs(melted, dim=dim)
-    elif kind == "embdi":
-        attr_ir = embdi_attr_irs(melted, dim=dim, seed=seed)
-    else:
+    if kind not in IR_KINDS:
         raise ValueError(f"unknown IR kind {kind!r}; expected one of {IR_KINDS}")
-    return assemble(attr_ir, len(attrs))
+    values = value_table(a, b, attrs).toArrow().sort_by(
+        [("table", "ascending"), ("id", "ascending")]
+    )
+    # A copy, so that no view keeps the collected table alive.
+    ids = values.column("id").to_numpy().copy()
+    tables = values.column("table").to_numpy(zero_copy_only=False)
+    # From here on the generator holds the only reference to the collected
+    # strings: they are freed as soon as the builder has read them.
+    chunks = value_chunks(values)
+    del values
+    match kind:
+        case "lsa":
+            X = lsa_irs(chunks, dim=dim, vocab_dim=vocab_dim)
+        case "w2v":
+            X = w2v_irs(chunks, dim=dim, seed=seed)
+        case "bert":
+            X = bert_irs(chunks, dim=dim)
+        case "embdi":
+            X = embdi_irs(chunks, tables, ids, dim=dim, seed=seed)
+    return a.sparkSession.createDataFrame(
+        pa.table({
+            "id": pa.array(ids, pa.int64()),
+            "table": pa.array(tables, pa.string()),
+            "irs": float_lists(X.reshape(len(ids), -1)),
+        })
+    )
 
 
 def float_lists(x: np.ndarray) -> pa.ListArray:

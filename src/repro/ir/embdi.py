@@ -2,63 +2,55 @@
 
 Cappuzzo et al. embed a heterogeneous graph (tokens <-> rows <-> columns)
 by running random walks and training word2vec on them. This lite version
-keeps the skeleton at tractable cost:
+keeps the skeleton at tractable cost, on the driver:
 
   - *row sentences*: all tokens of a tuple, with a per-attribute marker
     token injected before each attribute's tokens (row + column
-    co-occurrence in one pass — one walk per row);
-  - *column sentences*: tokens of one attribute across a hashed bucket
-    of rows (column-wise co-occurrence — one walk per column bucket);
-  - Spark ML Word2Vec over the union of sentences;
-  - value IR = average of its token vectors (same pooling as W2V IRs).
+    co-occurrence in one pass — one walk per row), in (table, id) order;
+  - *column sentences*: tokens of one attribute across a fixed hashed
+    bucket of rows, in (table, id) order (column-wise co-occurrence — one
+    walk per attribute and bucket);
+  - Spark ML Word2Vec over the rows' then the columns' sentences, fit and
+    pooled per value as the W2V IRs are (`w2v.fit_word2vec`, `w2v.pool`).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import zlib
+from itertools import chain
+from typing import Iterable
 
-from repro.ir.w2v import w2v_attr_irs
-from pyspark.ml.feature import Word2Vec
+import numpy as np
 
+from repro.ir.tokenize import distinct_values, tokens
+from repro.ir.w2v import NULL_TOKEN, fit_word2vec, pool
 
-def _sentences(melted: DataFrame, n_buckets: int) -> DataFrame:
-    marked = melted.withColumn(
-        "marked",
-        F.concat(
-            F.array(F.concat(F.lit("__col"), F.col("attr_idx").cast("string"), F.lit("__"))),
-            F.col("tokens"),
-        ),
-    )
-    rows = (
-        marked.groupBy("id", "table")
-        .agg(F.array_sort(F.collect_list(F.struct("attr_idx", "marked"))).alias("p"))
-        .select(F.flatten(F.transform("p", lambda s: s["marked"])).alias("tokens"))
-    )
-    cols = (
-        melted.withColumn("bucket", F.pmod(F.hash("id", "table"), F.lit(n_buckets)))
-        .groupBy("attr_idx", "bucket")
-        .agg(F.flatten(F.collect_list("tokens")).alias("tokens"))
-        .select("tokens")
-    )
-    return rows.unionByName(cols).where(F.size("tokens") > 0)
+_BUCKETS = 64  # column sentences per attribute
 
 
-def embdi_attr_irs(
-    melted: DataFrame, *, dim: int, seed: int = 11, n_buckets: int = 64,
-    max_sentences: int = 40_000,
-) -> DataFrame:
-    """(id, table, attr_idx, tokens) -> (id, table, attr_idx, ir)."""
-    sents = _sentences(melted, n_buckets)
-    n = sents.count()
-    if n > max_sentences:
-        sents = sents.sample(fraction=max_sentences / n, seed=seed)
-    model = Word2Vec(
-        vectorSize=dim,
-        minCount=1,
-        seed=seed,
-        inputCol="tokens",
-        outputCol="vec",
-        numPartitions=4,
-    ).fit(sents)
-    # Pool the relational token vectors per attribute value, exactly as W2V.
-    return w2v_attr_irs(melted, dim=dim, seed=seed, model=model)
+def embdi_irs(
+    chunks: Iterable[np.ndarray],
+    tables: np.ndarray,
+    ids: np.ndarray,
+    *,
+    dim: int,
+    seed: int,
+) -> np.ndarray:
+    """Per-value EmbDI IRs of the (tuples, arity) string chunks, whose
+    tuples are ``(tables, ids)`` in (table, id) order: float32
+    (values, dim), values row-major."""
+    distinct, codes = distinct_values(chunks)
+    toks = [tokens(v) for v in distinct]
+    markers = [[f"__col{j}__"] for j in range(codes.shape[1])]
+    rows = [
+        list(chain.from_iterable(markers[j] + toks[c] for j, c in enumerate(row)))
+        for row in codes
+    ]
+    bucket = np.array([zlib.crc32(f"{t}:{i}".encode()) % _BUCKETS for t, i in zip(tables, ids)])
+    by_bucket = [np.flatnonzero(bucket == k) for k in range(_BUCKETS)]
+    cols = [
+        list(chain.from_iterable(toks[c] for c in codes[members, j]))
+        for j in range(codes.shape[1])
+        for members in by_bucket
+    ]
+    model = fit_word2vec(rows + [s for s in cols if s], dim=dim, seed=seed)
+    return pool(model, [t or [NULL_TOKEN] for t in toks])[codes.ravel()]

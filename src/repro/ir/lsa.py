@@ -1,13 +1,12 @@
 """LSA IRs: hashed TF-IDF + truncated SVD topic projection (§III-B).
 
-Runs on the driver. The union of the two (unmelted) tables is collected
-once with `toArrow` (a JVM-only job: no Python worker) and read in chunks
-of ``_CHUNK`` tuples:
+Runs on the driver, over the values `build_irs` collected, read in chunks
+of ``tokenize._CHUNK`` tuples:
 
   tokenize  each value is tokenized and its tokens hashed into
             ``vocab_dim`` buckets once; each chunk keeps its sparse TF
-            triplets (value, bucket, count), and the collected strings are
-            dropped.
+            triplets (value, bucket, count), and once the last chunk is
+            read the collected strings are dropped.
   gram      the document frequency per bucket and the integer
             term-frequency gram ``G = sum_v tf_v tf_v^T`` are summed over
             the triplets; ``idf = log((m + 1) / (df + 1))`` (Spark ML's
@@ -15,42 +14,27 @@ of ``_CHUNK`` tuples:
             V = top ``dim`` eigenvectors of the gram (numpy eigh over the
             occupied buckets only: the other rows and columns are 0).
   project   IR = L2-normalised projection ``tf_v @ (idf * V)`` of every
-            value, into one float32 (tuples, arity * dim) array whose rows
-            are the tuples' IRs concatenated in ``attrs`` order.
+            value, into one float32 (values, dim) array.
 
-Tokens and buckets equal those of `tokenize.melt` + Spark ML `HashingTF`
-(MurmurHash3_x86_32, seed 42), so this is the classic LSI of that
-TF-IDF matrix. ``G`` is a sum of integers, exact in float64, and a value
-never spans two chunks, so neither the gram nor any IR depends on how the
-input is partitioned or on the chunk size. No dense values x vocab_dim
-block is ever built.
+Tokens and buckets equal those of Spark SQL's regex split + Spark ML
+`HashingTF` (MurmurHash3_x86_32, seed 42), so this is the classic LSI of
+that TF-IDF matrix. ``G`` is a sum of integers, exact in float64, and a
+value never spans two chunks, so neither the gram nor any IR depends on
+how the input is partitioned or on the chunk size. No dense values x
+vocab_dim block is ever built.
 """
 from __future__ import annotations
 
-import re
+from typing import Iterable
 
 import numpy as np
-import pyarrow as pa
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.ir.tokenize import value_columns
+from repro.ir.tokenize import tokens
 
-_NON_ALNUM = re.compile(r"[^a-zA-Z0-9]+")
 _M32 = 0xFFFFFFFF
-# Tuples per chunk: bounds the pair and projection temporaries on the
-# driver (the float64 ``count * W[bk]`` gather holds ``dim`` floats per
-# (value, bucket) entry: ~2.7 MB per chunk at music sf=1). A value never
-# spans two chunks, so no IR depends on this size.
-_CHUNK = 128
 
 # Sparse TF rows of a chunk: (value index, bucket, count), see `_term_counts`.
 Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def tokens(value: str) -> list[str]:
-    """`tokenize.melt`'s SQL tokenizer: split on non-alphanumerics, lowercase."""
-    return _NON_ALNUM.sub(" ", value).lower().split()
 
 
 def _mix_k1(k: int) -> int:
@@ -83,24 +67,11 @@ def bucket(token: str, vocab_dim: int) -> int:
     return murmur3_32(token.encode("utf-8")) % vocab_dim
 
 
-def value_table(a: DataFrame, b: DataFrame, attrs: list[str]) -> DataFrame:
-    """(id, table, v0..v{k-1}): both tables, attribute values as strings."""
-
-    def side(df: DataFrame, label: str) -> DataFrame:
-        cols = value_columns(attrs)
-        return df.select(
-            F.col("id").cast("long").alias("id"),
-            F.lit(label).alias("table"),
-            *[c.alias(f"v{i}") for i, c in enumerate(cols)],
-        )
-
-    return side(a, "a").unionByName(side(b, "b"))
-
-
 def _term_counts(
-    values: np.ndarray, vocab_dim: int, cache: dict[str, int]
+    values: np.ndarray, vocab_dim: int, cache: dict[str, int], first: int
 ) -> Triplets:
-    """Sparse TF rows of ``values``: (value index, bucket, count), sorted."""
+    """Sparse TF rows of ``values``, whose value indices start at
+    ``first``: (value index, bucket, count), sorted."""
     vi: list[int] = []
     bk: list[int] = []
     for i, v in enumerate(values):
@@ -114,7 +85,7 @@ def _term_counts(
     key, count = np.unique(key, return_counts=True)
     # int32 halves what the chunks keep until the projection.
     return (
-        (key // vocab_dim).astype(np.int32),
+        (key // vocab_dim + first).astype(np.int32),
         (key % vocab_dim).astype(np.int32),
         count.astype(np.int32),
     )
@@ -124,6 +95,9 @@ def _pair_gram(vi: np.ndarray, bk: np.ndarray, count: np.ndarray, g: np.ndarray)
     """Add ``sum_v tf_v tf_v^T``, over the bucket pairs within each value,
     to the (vocab_dim, vocab_dim) float64 gram ``g``. Every term is an
     integer, so the sum is exact in any order."""
+    if not len(vi):
+        return
+    vi = vi - vi[0]
     lens = np.bincount(vi)
     per = lens[vi]  # partners of each entry: the entries of its own value
     left = np.repeat(np.arange(len(vi)), per)
@@ -136,20 +110,20 @@ def _pair_gram(vi: np.ndarray, bk: np.ndarray, count: np.ndarray, g: np.ndarray)
     )
 
 
-def term_counts(values: pa.Table, vocab_dim: int) -> list[Triplets]:
-    """Collected `value_table` output -> the sparse TF triplets of each
-    chunk of ``_CHUNK`` tuples; a value's index counts row-major (tuple,
-    then attribute) within its chunk. Each value is tokenized once."""
-    cols = [c for c in values.column_names if c not in ("id", "table")]
+def term_counts(
+    chunks: Iterable[np.ndarray], vocab_dim: int
+) -> tuple[list[Triplets], int]:
+    """(tuples, arity) string chunks (`tokenize.value_chunks`) -> the
+    sparse TF triplets of each chunk, and the value count ``m``. Values
+    are indexed row-major (tuple, then attribute) over all chunks. Each
+    value is tokenized once."""
     cache: dict[str, int] = {}
     out = []
-    for s in range(0, values.num_rows, _CHUNK):
-        chunk = values.slice(s, _CHUNK)
-        strings = np.stack(
-            [chunk.column(c).to_numpy(zero_copy_only=False) for c in cols], axis=1
-        )
-        out.append(_term_counts(strings.ravel(), vocab_dim, cache))
-    return out
+    m = 0
+    for strings in chunks:
+        out.append(_term_counts(strings.ravel(), vocab_dim, cache, m))
+        m += strings.size
+    return out, m
 
 
 def tfidf_gram(
@@ -187,32 +161,20 @@ def top_eigenvectors(gram: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def lsa_irs(
-    a: DataFrame, b: DataFrame, attrs: list[str], *, dim: int, vocab_dim: int = 1024
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-tuple LSA IRs ``(ids, tables, X)`` in collect order, ``X`` the
-    float32 (tuples, arity * dim) IRs.
-
-    ``dim`` topics; empty values yield all-zero IRs (no token mass).
-    """
+def lsa_irs(chunks: Iterable[np.ndarray], *, dim: int, vocab_dim: int) -> np.ndarray:
+    """Per-value LSA IRs of the (tuples, arity) string chunks: float32
+    (values, dim), values row-major. ``dim`` topics; empty values yield
+    all-zero IRs (no token mass)."""
     assert dim <= vocab_dim, "topic count cannot exceed hashed vocab size"
-    values = value_table(a, b, attrs).toArrow()
-    # Copies, so that no view keeps the collected strings alive.
-    ids = values.column("id").to_numpy().copy()
-    tables = values.column("table").to_numpy(zero_copy_only=False)
-    m = values.num_rows * len(attrs)
-    tf = term_counts(values, vocab_dim)
-    del values
+    tf, m = term_counts(chunks, vocab_dim)
     idf, gram = tfidf_gram(tf, m, vocab_dim)
     # tf @ (idf * V) is the TF-IDF row projected onto the topics.
     W = idf[:, None] * top_eigenvectors(gram, dim)
-    X = np.empty((m, dim), dtype=np.float32)
-    step = _CHUNK * len(attrs)
-    for lo, (vi, bk, count) in zip(range(0, m, step), tf):
-        P = np.zeros((min(step, m - lo), dim))
+    X = np.zeros((m, dim), dtype=np.float32)
+    for vi, bk, count in tf:
         if len(vi):
             starts = np.flatnonzero(np.r_[True, vi[1:] != vi[:-1]])
-            P[vi[starts]] = np.add.reduceat(count[:, None] * W[bk], starts)
-        P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-        X[lo : lo + len(P)] = P
-    return ids, tables, X.reshape(len(ids), len(attrs) * dim)
+            P = np.add.reduceat(count[:, None] * W[bk], starts)
+            P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
+            X[vi[starts]] = P
+    return X

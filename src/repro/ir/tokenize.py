@@ -1,15 +1,28 @@
-"""DataFrame helpers shared by the IR builders.
+"""The attribute values every IR builder reads, and the one tokenizer.
 
-`melt` unpivots an entity table into one row per attribute value —
-``(id, table, attr_idx, value, tokens)`` — which is the "each attribute
-value is a sentence" view of §III-B. `assemble` re-groups per-attribute
-IR vectors into the per-tuple flat ``irs`` array the VAE consumes. LSA
-(`lsa.py`) reads the unmelted tables and shares only `value_columns`.
+`value_table` is the unmelted union of both input tables, one row per
+tuple with each attribute value as a string: `build_irs` collects it once
+with `toArrow` (a JVM-only job: no Python worker) and `value_chunks` reads
+the collected strings back in chunks of ``_CHUNK`` tuples. `tokens` splits
+a value into the lowercase alphanumeric words of §III-B's "each attribute
+value is a sentence" view (LSA, W2V and EmbDI share it).
 """
 from __future__ import annotations
 
+import re
+from typing import Iterable, Iterator
+
+import numpy as np
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
+
+_NON_ALNUM = re.compile(r"[^a-zA-Z0-9]+")
+# Tuples per chunk: bounds the Python strings alive at once, and LSA's
+# per-chunk temporaries (the float64 ``count * W[bk]`` gather holds ``dim``
+# floats per (value, bucket) entry: ~2.7 MB per chunk at music sf=1). A
+# value never spans two chunks, so no IR depends on this size.
+_CHUNK = 128
 
 
 def value_columns(attrs: list[str]) -> list[Column]:
@@ -17,50 +30,50 @@ def value_columns(attrs: list[str]) -> list[Column]:
     return [F.coalesce(F.col(c).cast("string"), F.lit("")) for c in attrs]
 
 
-def melt(df: DataFrame, attrs: list[str], table_label: str) -> DataFrame:
-    """Unpivot ``df[id, *attrs]`` into (id, table, attr_idx, value, tokens).
+def value_table(a: DataFrame, b: DataFrame, attrs: list[str]) -> DataFrame:
+    """(id, table, v0..v{k-1}): both tables, attribute values as strings.
 
-    Null/missing attribute values become the empty string so every tuple
-    contributes exactly ``len(attrs)`` rows — the fixed 2-d input shape
-    (num. attributes x num. features) the shared-parameter VAE expects.
+    Null/missing values become the empty string, so every tuple has
+    exactly ``len(attrs)`` values: the fixed (attributes x features) input
+    shape the shared-parameter VAE expects.
     """
-    out = df.select(
-        F.col("id").cast("long").alias("id"),
-        F.lit(table_label).alias("table"),
-        F.posexplode(F.array(*value_columns(attrs))).alias("attr_idx", "value"),
-    )
-    tokens = F.filter(
-        F.split(F.lower(F.regexp_replace("value", "[^a-zA-Z0-9]+", " ")), " "),
-        lambda t: t != "",
-    )
-    return out.withColumn("tokens", tokens)
+
+    def side(df: DataFrame, label: str) -> DataFrame:
+        return df.select(
+            F.col("id").cast("long").alias("id"),
+            F.lit(label).alias("table"),
+            *[c.alias(f"v{i}") for i, c in enumerate(value_columns(attrs))],
+        )
+
+    return side(a, "a").unionByName(side(b, "b"))
 
 
-def melt_both(a: DataFrame, b: DataFrame, attrs: list[str]) -> DataFrame:
-    """Union of the two input tables in melted form (§III trains one
-    representation model over all tuples of both tables)."""
-    return melt(a, attrs, "a").unionByName(melt(b, attrs, "b"))
+def value_chunks(values: pa.Table) -> Iterator[np.ndarray]:
+    """Collected `value_table` output -> its strings as (tuples, arity)
+    object arrays of at most ``_CHUNK`` tuples, in row order.
 
-
-def assemble(attr_ir: DataFrame, arity: int) -> DataFrame:
-    """(id, table, attr_idx, ir) -> (id, table, irs): ``irs`` the float32
-    concatenation of the tuple's ``ir`` vectors in ``attr_idx`` order.
-
-    Sorting inside the aggregated structs restores attribute order after
-    the shuffle, so ``irs`` is always arity-aligned.
+    The generator holds its own reference to ``values``; once the last
+    chunk is read it lets go, so a caller that keeps only the generator
+    frees the collected table as soon as it has read it.
     """
-    return (
-        attr_ir.groupBy("id", "table")
-        .agg(
-            F.array_sort(
-                F.collect_list(F.struct("attr_idx", "ir"))
-            ).alias("pairs")
+    cols = [c for c in values.column_names if c not in ("id", "table")]
+    for s in range(0, values.num_rows, _CHUNK):
+        chunk = values.slice(s, _CHUNK)
+        yield np.stack(
+            [chunk.column(c).to_numpy(zero_copy_only=False) for c in cols], axis=1
         )
-        .select(
-            "id",
-            "table",
-            F.flatten(F.transform("pairs", lambda p: p["ir"]))
-            .cast("array<float>")
-            .alias("irs"),
-        )
-    )
+
+
+def tokens(value: str) -> list[str]:
+    """Split on non-alphanumerics and lowercase (Spark's
+    ``split(lower(regexp_replace(v, '[^a-zA-Z0-9]+', ' ')), ' ')`` minus
+    its empty strings)."""
+    return _NON_ALNUM.sub(" ", value).lower().split()
+
+
+def distinct_values(chunks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(tuples, arity) string chunks -> the sorted distinct strings, and
+    the (tuples, arity) index of every value into them."""
+    strings = np.concatenate(list(chunks))
+    distinct, inverse = np.unique(strings.ravel(), return_inverse=True)
+    return distinct, inverse.reshape(strings.shape)

@@ -5,15 +5,37 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from pyspark.sql import functions as F
+
 from repro.ir import IR_KINDS, build_irs, ir_tensor
 from repro.ir.bert_sim import encode_values
-from repro.ir.lsa import (
-    bucket, lsa_irs, term_counts, tfidf_gram, tokens, top_eigenvectors, value_table,
-)
-from repro.ir.tokenize import assemble, melt, melt_both
+from repro.ir.lsa import bucket, term_counts, tfidf_gram, top_eigenvectors
+from repro.ir.tokenize import distinct_values, tokens, value_chunks, value_table
 from repro.oracle import assert_equivalent
 
 ATTRS = ["name", "city"]
+
+
+def melt(df, attrs: list[str], table_label: str):
+    """Unpivot ``df[id, *attrs]`` into (id, table, attr_idx, value, tokens)
+    in Spark SQL: one row per attribute value, null as '', tokens by the
+    SQL regex split. The oracle of `value_table` + `tokens`."""
+    out = df.select(
+        F.col("id").cast("long").alias("id"),
+        F.lit(table_label).alias("table"),
+        F.posexplode(
+            F.array(*[F.coalesce(F.col(c).cast("string"), F.lit("")) for c in attrs])
+        ).alias("attr_idx", "value"),
+    )
+    toks = F.filter(
+        F.split(F.lower(F.regexp_replace("value", "[^a-zA-Z0-9]+", " ")), " "),
+        lambda t: t != "",
+    )
+    return out.withColumn("tokens", toks)
+
+
+def melt_both(a, b, attrs: list[str]):
+    return melt(a, attrs, "a").unionByName(melt(b, attrs, "b"))
 
 
 @pytest.fixture(scope="module")
@@ -40,21 +62,24 @@ def toy_tables(spark):
 
 
 class TestMelt:
+    """`value_table` + `tokens` against the SQL unpivot `melt`, which is
+    itself checked against DuckDB."""
+
     def test_row_count_is_n_times_arity(self, spark, toy_tables):
         a, b = toy_tables
         assert melt(a, ATTRS, "a").count() == 3 * 2
         assert melt_both(a, b, ATTRS).count() == 5 * 2
 
     def test_null_becomes_empty_string(self, toy_tables):
-        a, _ = toy_tables
-        rows = melt(a, ATTRS, "a").where("id = 2 AND attr_idx = 0").collect()
-        assert rows[0]["value"] == ""
-        assert rows[0]["tokens"] == []
+        a, b = toy_tables
+        rows = value_table(a, b, ATTRS).where("table = 'a' AND id = 2").collect()
+        assert rows[0]["v0"] == ""
+        assert tokens(rows[0]["v0"]) == []
 
     def test_tokens_lowercased_and_clean(self, toy_tables):
-        _, b = toy_tables
-        rows = melt(b, ATTRS, "b").where("id = 0 AND attr_idx = 0").collect()
-        assert rows[0]["tokens"] == ["charlie", "brown"]
+        a, b = toy_tables
+        rows = value_table(a, b, ATTRS).where("table = 'b' AND id = 0").collect()
+        assert tokens(rows[0]["v0"]) == ["charlie", "brown"]
 
     def test_melt_oracle_unpivot(self, spark, toy_tables):
         """The melt is a relational unpivot — check it against DuckDB."""
@@ -67,20 +92,21 @@ class TestMelt:
         """
         assert_equivalent(got, sql, t=a)
 
-    def test_assemble_orders_by_attr_idx(self, spark):
-        attr_ir = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "id": [0, 0, 1, 1],
-                    "table": ["a"] * 4,
-                    "attr_idx": [1, 0, 0, 1],
-                    "ir": [[1.0], [0.0], [10.0], [11.0]],
-                }
-            )
-        )
-        out = {r["id"]: r["irs"] for r in assemble(attr_ir, 2).collect()}
-        assert out[0] == [0.0, 1.0]
-        assert out[1] == [10.0, 11.0]
+    def test_value_table_matches_melt(self, toy_tables):
+        a, b = toy_tables
+        values = value_table(a, b, ATTRS).toArrow()
+        keys = zip(values.column("table").to_pylist(), values.column("id").to_pylist())
+        strings = np.concatenate(list(value_chunks(values)))
+        got = {
+            (t, i, j): (v, tokens(v))
+            for (t, i), row in zip(keys, strings)
+            for j, v in enumerate(row)
+        }
+        want = {
+            (r["table"], r["id"], r["attr_idx"]): (r["value"], list(r["tokens"]))
+            for r in melt_both(a, b, ATTRS).collect()
+        }
+        assert got == want
 
 
 class TestBertSim:
@@ -104,6 +130,28 @@ class TestBertSim:
     def test_case_insensitive(self):
         v = encode_values(["New York", "new york"], 16)
         assert np.allclose(v[0], v[1])
+
+    def test_matches_per_term_loop(self, generated):
+        """`encode_values` equals, bit for bit, the plain loop that adds
+        one code vector per n-gram and word and divides by the norm."""
+        from repro.ir.bert_sim import _bucket, _codebooks
+
+        distinct, _ = _sorted_strings(generated)
+        values = list(distinct) + ["", None, " ", "a", "  x  y ", "Ünïcödé 日本"]
+        char_cb, word_cb = _codebooks(16)
+        want = np.zeros((len(values), 16))
+        for i, v in enumerate(values):
+            text = " ".join(str(v or "").lower().split())
+            padded = f" {text} "
+            acc = np.zeros(16)
+            for n in (3, 4):
+                for j in range(len(padded) - n + 1):
+                    acc += char_cb[_bucket(padded[j : j + n])]
+            for w in text.split():
+                acc += 2.0 * word_cb[_bucket(w)]
+            if np.linalg.norm(acc) > 0:
+                want[i] = acc / np.linalg.norm(acc)
+        assert np.array_equal(encode_values(values, 16), want)
 
 
 @pytest.mark.parametrize("kind", IR_KINDS)
@@ -131,6 +179,123 @@ class TestBuildIrs:
             build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64).toArrow(), len(ATTRS)
         )
         assert np.allclose(irs[0, 0], irs[1, 0], atol=1e-9)  # a/0 and a/1
+
+    def test_reversed_attrs_reverse_slots(self, monkeypatch, toy_tables, kind):
+        """Slot j holds attribute ``attrs[j]``. W2V and EmbDI train on the
+        corpus in attribute order, so their second build reuses the first
+        build's model: the layout, not the fit, is under test."""
+        import repro.ir.embdi as embdi
+        import repro.ir.w2v as w2v
+
+        fit, fitted = w2v.fit_word2vec, []
+
+        def fit_once(sentences, **kwargs):
+            if not fitted:
+                fitted.append(fit(sentences, **kwargs))
+            return fitted[0]
+
+        monkeypatch.setattr(w2v, "fit_word2vec", fit_once)
+        monkeypatch.setattr(embdi, "fit_word2vec", fit_once)
+        a, b = toy_tables
+        fwd, rev = (
+            ir_tensor(build_irs(a, b, attrs, kind=kind, dim=8).toArrow(), len(ATTRS))[2]
+            for attrs in (ATTRS, ATTRS[::-1])
+        )
+        assert np.array_equal(rev, fwd[:, ::-1])
+
+    def test_no_python_worker_pass(self, monkeypatch, toy_tables, kind):
+        """Every kind runs on the driver: no `mapInPandas` job over the
+        tables, no Python node in the output's plan."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{kind} started a Python-worker pass")
+
+        a, b = toy_tables
+        # The session's concrete DataFrame class, which overrides the
+        # `pyspark.sql.DataFrame` method.
+        monkeypatch.setattr(type(a), "mapInPandas", refuse)
+        out = build_irs(a, b, ATTRS, kind=kind, dim=8, vocab_dim=64)
+        plan = out._jdf.queryExecution().executedPlan().toString()
+        assert not any(op in plan for op in ("MapInPandas", "MapInArrow", "EvalPython"))
+        ids, tables, irs = ir_tensor(out.toArrow(), len(ATTRS))
+        assert list(zip(tables, ids)) == [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)]
+        # a/2's name is null: no token mass, except W2V's `NULL_TOKEN` vector.
+        assert irs.shape == (5, 2, 8) and (irs[2, 0].sum() == 0) == (kind != "w2v")
+
+
+@pytest.fixture(scope="module")
+def generated(spark):
+    from repro.datasets.generate import er_domain
+
+    return er_domain(spark, "citations1", sf=0.03, seed=0)
+
+
+@pytest.mark.parametrize("kind", IR_KINDS)
+def test_builds_repeat_across_partitionings(generated, kind):
+    """Two builds in one session, and a build from other partitionings of
+    the inputs, give bit-identical IRs."""
+    d = generated
+
+    def build(a, b):
+        return ir_tensor(
+            build_irs(a, b, d.attrs, kind=kind, dim=16, seed=0).toArrow(), len(d.attrs)
+        )
+
+    first = build(d.a, d.b)
+    for got in (build(d.a, d.b), build(d.a.repartition(3), d.b.repartition(5))):
+        for x, want in zip(got, first):
+            assert np.array_equal(x, want)
+
+
+def _sorted_strings(d) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct strings, (tuples, arity) codes) of a domain's values, its
+    tuples in (table, id) order as `ir_tensor` sorts them."""
+    values = value_table(d.a, d.b, d.attrs).toArrow().sort_by(
+        [("table", "ascending"), ("id", "ascending")]
+    )
+    return distinct_values(value_chunks(values))
+
+
+def test_bert_equals_encode_values(generated):
+    d = generated
+    _, _, irs = ir_tensor(
+        build_irs(d.a, d.b, d.attrs, kind="bert", dim=16).toArrow(), len(d.attrs)
+    )
+    distinct, codes = _sorted_strings(d)
+    assert len(distinct) < codes.size  # repeated values are encoded once
+    for (t, j), c in np.ndenumerate(codes):
+        want = encode_values([distinct[c]], 16)[0].astype(np.float32)
+        assert np.array_equal(irs[t, j], want), distinct[c]
+
+
+def test_w2v_pooling_matches_transform(spark, monkeypatch, generated):
+    """`w2v.pool` equals `Word2VecModel.transform` of the same model within
+    float32 rounding, on a sampled vocabulary: missing tokens count in
+    the length, and the empty value is `NULL_TOKEN`."""
+    import repro.ir.w2v as w2v
+
+    distinct, codes = _sorted_strings(generated)
+    sentences = [tokens(v) or [w2v.NULL_TOKEN] for v in distinct]
+    # This domain has no empty value at this size: add some.
+    corpus = [sentences[c] for c in codes.ravel()] + [[w2v.NULL_TOKEN]] * 20
+    monkeypatch.setattr(w2v, "_MAX_SENTENCES", len(corpus) // 4)
+    model = w2v.fit_word2vec(corpus, dim=16, seed=0)
+    vecs = {r["word"]: r["vector"].toArray() for r in model.getVectors().collect()}
+    known = next(w for w in sorted(vecs) if w != w2v.NULL_TOKEN)
+    assert w2v.NULL_TOKEN in vecs
+    assert any(t not in vecs for s in sentences for t in s)
+    sentences += [[w2v.NULL_TOKEN], [known, "zzunseen"], ["zzunseen"]]
+
+    got = w2v.pool(model, sentences)
+    rows = model.setOutputCol("vec").transform(
+        spark.createDataFrame(pd.DataFrame({"tokens": sentences}))
+    ).collect()
+    want = np.stack([r["vec"].toArray() for r in rows])
+    eps = np.finfo(np.float32).eps
+    np.testing.assert_allclose(got, want, rtol=eps, atol=0)
+    np.testing.assert_allclose(got[-3], vecs[w2v.NULL_TOKEN], rtol=eps, atol=0)
+    np.testing.assert_allclose(got[-2], vecs[known] / 2, rtol=eps, atol=0)
+    assert not got[-1].any()
 
 
 def test_ir_tensor_sorts_rows_across_record_batches():
@@ -193,14 +358,14 @@ def _lsa(a, b, attrs, dim: int = 16):
 
 
 def _gram(a, b, attrs) -> tuple[np.ndarray, np.ndarray]:
-    values = value_table(a, b, attrs).toArrow()
-    return tfidf_gram(term_counts(values, VOCAB), values.num_rows * len(attrs), VOCAB)
+    tf, m = term_counts(value_chunks(value_table(a, b, attrs).toArrow()), VOCAB)
+    return tfidf_gram(tf, m, VOCAB)
 
 
 @pytest.fixture(scope="module", params=["citations1", "stocks"])
 def lsa_oracle(request, spark):
     """A generated domain plus the Spark ML `HashingTF` + `IDF` TF-IDF
-    matrix of its melted values (the pipeline LSA used to run on)."""
+    matrix of its melted values."""
     from pyspark.ml.feature import IDF, HashingTF
     from pyspark.ml.functions import vector_to_array
 
@@ -259,8 +424,7 @@ class TestLsaOracle:
         dim = next(k for k in range(24, VOCAB) if not tie[k - 1])
         P = X @ vecs[:, :dim]
         P /= np.maximum(np.linalg.norm(P, axis=1, keepdims=True), 1e-12)
-        ids, tables, irs = lsa_irs(d.a, d.b, d.attrs, dim=dim, vocab_dim=VOCAB)
-        irs = irs.reshape(len(ids), len(d.attrs), dim)
+        ids, tables, irs = _lsa(d.a, d.b, d.attrs, dim=dim)
         row = {(t, i): r for r, (t, i) in enumerate(zip(tables, ids))}
         got = np.stack([
             irs[row[(t, i)], j]
@@ -311,45 +475,27 @@ class TestLsaOracle:
         assert not padded[:, occupied:].any()
 
     def test_partition_invariant(self, lsa_oracle):
+        """The gram; `test_builds_repeat_across_partitionings` checks the
+        IRs of every kind."""
         d, _, _, _ = lsa_oracle
         one = [t.repartition(1) for t in (d.a, d.b)]
         five = [t.repartition(5) for t in (d.a, d.b)]
         assert np.array_equal(_gram(*one, d.attrs)[1], _gram(*five, d.attrs)[1])
-        irs1 = _lsa(*one, d.attrs)[2]
-        irs5 = _lsa(*five, d.attrs)[2]
-        assert np.array_equal(irs1, irs5)
 
     def test_chunk_invariant(self, monkeypatch, lsa_oracle):
         """A value never spans two chunks, so the chunk size changes no bit
         of the gram or of any IR."""
-        import repro.ir.lsa as lsa
+        import repro.ir.tokenize as tokenize
 
         d, _, _, _ = lsa_oracle
         want_gram = _gram(d.a, d.b, d.attrs)[1]
         want = _lsa(d.a, d.b, d.attrs)
-        assert d.a.count() + d.b.count() > lsa._CHUNK
+        assert d.a.count() + d.b.count() > tokenize._CHUNK
         for chunk in (1, 7):
-            monkeypatch.setattr(lsa, "_CHUNK", chunk)
+            monkeypatch.setattr(tokenize, "_CHUNK", chunk)
             assert np.array_equal(_gram(d.a, d.b, d.attrs)[1], want_gram)
             for got, ref in zip(_lsa(d.a, d.b, d.attrs), want):
                 assert np.array_equal(got, ref)
-
-    def test_no_python_worker_pass(self, monkeypatch, toy_tables):
-        """LSA runs on the driver: no `mapInPandas` job over the tables."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("LSA started a Python-worker pass")
-
-        a, b = toy_tables
-        # The session's concrete DataFrame class, which overrides the
-        # `pyspark.sql.DataFrame` method.
-        monkeypatch.setattr(type(a), "mapInPandas", refuse)
-        out = build_irs(a, b, ATTRS, kind="lsa", dim=8, vocab_dim=64)
-        plan = out._jdf.queryExecution().executedPlan().toString()
-        assert not any(op in plan for op in ("MapInPandas", "MapInArrow", "EvalPython"))
-        ids, tables, irs = ir_tensor(out.toArrow(), len(ATTRS))
-        assert list(zip(tables, ids)) == [("a", 0), ("a", 1), ("a", 2), ("b", 0), ("b", 1)]
-        assert irs.shape == (5, 2, 8) and irs[2, 0].sum() == 0  # a/2's name is null
 
 
 def test_unknown_kind_rejected(spark, toy_tables):
