@@ -13,6 +13,12 @@ L, estimate the duplicate-distance density f+ by KDE over reparameterised
 samples of L+ members (Eq. 6), then pick certain/uncertain
 positives/negatives by combining prediction entropy (Eq. 5) with f+, ask
 the labeler, and fold the answers back into L.
+
+Both run over one table, the W2-sorted candidates: L+, L- and U are row
+indices into it. Only the matcher changes between iterations, so U's
+mean-Euclidean distances (Eq. 6's d) are computed once. Unlike the paper,
+U is capped at ``max_pool`` pairs, a seeded uniform sample of the
+unlabeled candidates (DESIGN.md §2).
 """
 from __future__ import annotations
 
@@ -94,8 +100,13 @@ class DomainTensors:
         return self.mu["a"][ra], self.sigma["a"][ra], self.mu["b"][rb], self.sigma["b"][rb]
 
     def pair_euclid(self, id_a: np.ndarray, id_b: np.ndarray) -> np.ndarray:
-        mu_s, _, mu_t, _ = self.pair_latents(id_a, id_b)
-        return np.sqrt(euclidean_sq_means(mu_s, mu_t))
+        """Euclidean distance of the pairs' means, gathered 8192 pairs at a time."""
+        ra, rb = self._rows("a", id_a), self._rows("b", id_b)
+        out = np.empty(len(ra))
+        for start in range(0, len(ra), 8192):
+            c = slice(start, start + 8192)
+            out[c] = euclidean_sq_means(self.mu["a"][ra[c]], self.mu["b"][rb[c]])
+        return np.sqrt(out)
 
 
 class OracleLabeler:
@@ -115,9 +126,10 @@ class OracleLabeler:
 
 @dataclass
 class BootstrapResult:
-    l_pos: pd.DataFrame  # (id_a, id_b) — verified positives
-    l_neg: pd.DataFrame
-    unlabeled: pd.DataFrame  # (id_a, id_b)
+    cand: pd.DataFrame  # (id_a, id_b, w2) sorted by W2; the arrays below index its rows
+    l_pos: np.ndarray  # verified positives
+    l_neg: np.ndarray
+    unlabeled: np.ndarray
     n_false_pos_removed: int
 
 
@@ -137,43 +149,37 @@ def al_bootstrap(
     two — Algorithm 2 needs a non-empty L+ to estimate f+.
     Negatives are the ``n_neg`` largest-W2 pairs (true negatives kept).
     W2 ties are broken by (id_a, id_b), so the result does not depend on
-    the order the candidates were collected in.
+    the order the candidates were collected in. Only the inspected pairs
+    are labeled, so ``labeler.n_queries`` counts the user's effort.
     """
     cand = candidates.sort_values(["w2", "id_a", "id_b"]).reset_index(drop=True)
-    labels = labeler.label(cand["id_a"].to_numpy(), cand["id_b"].to_numpy())
-    # NOTE: only the pairs *inspected* below count as user effort; the bulk
-    # labels above are a vectorisation convenience, indexed lazily.
-    labeler.n_queries -= len(cand)
+    ida, idb = cand["id_a"].to_numpy(), cand["id_b"].to_numpy()
 
-    pos_idx: list[int] = []
-    removed = 0
-    scan_end = min(n_pos, len(cand))
-    for i in range(scan_end):
-        labeler.n_queries += 1
-        if labels[i] == 1:
-            pos_idx.append(i)
-        else:
-            removed += 1
-    i = scan_end
-    while len(pos_idx) < 2 and i < len(cand):  # degenerate pool: extend
-        labeler.n_queries += 1
-        if labels[i] == 1:
-            pos_idx.append(i)
+    def ask(i: int) -> int:
+        return labeler.label(ida[i : i + 1], idb[i : i + 1])[0]
+
+    head = min(n_pos, len(cand))
+    labels = labeler.label(ida[:head], idb[:head])
+    pos = np.flatnonzero(labels == 1).tolist()
+    i = head
+    while len(pos) < 2 and i < len(cand):  # degenerate pool: extend
+        if ask(i) == 1:
+            pos.append(i)
         i += 1
-    neg_idx: list[int] = []
+    neg: list[int] = []
     for i in range(len(cand) - 1, -1, -1):
-        if len(neg_idx) >= n_neg or i in pos_idx:
+        if len(neg) >= n_neg or i in pos:
             break
-        labeler.n_queries += 1
-        if labels[i] == 0:
-            neg_idx.append(i)
-    used = set(pos_idx) | set(neg_idx)
-    rest = cand.loc[[i for i in range(len(cand)) if i not in used], ["id_a", "id_b"]]
+        if ask(i) == 0:
+            neg.append(i)
+    unlabeled = np.ones(len(cand), dtype=bool)
+    unlabeled[pos + neg] = False
     return BootstrapResult(
-        l_pos=cand.loc[pos_idx, ["id_a", "id_b"]].reset_index(drop=True),
-        l_neg=cand.loc[neg_idx, ["id_a", "id_b"]].reset_index(drop=True),
-        unlabeled=rest.reset_index(drop=True),
-        n_false_pos_removed=removed,
+        cand=cand,
+        l_pos=np.array(pos, dtype=np.int64),
+        l_neg=np.array(neg, dtype=np.int64),
+        unlabeled=np.flatnonzero(unlabeled),
+        n_false_pos_removed=head - int(labels.sum()),
     )
 
 
@@ -185,7 +191,6 @@ def train_matcher(
     cfg: VaerConfig,
     *,
     seed: int = 0,
-    epochs: int | None = None,
 ) -> SiameseMatcher:
     """Train a fresh Siamese matcher (encoder re-initialised from the
     representation model, as the paper does per AL iteration).
@@ -201,12 +206,11 @@ def train_matcher(
         margin=cfg.margin,
         seed=seed,
     )
-    if epochs is None:
-        steps_per_epoch = max(1, -(-len(pairs) // cfg.match_batch_size))
-        epochs = min(
-            cfg.match_max_epochs,
-            max(cfg.match_epochs, -(-cfg.match_min_steps // steps_per_epoch)),
-        )
+    steps_per_epoch = max(1, -(-len(pairs) // cfg.match_batch_size))
+    epochs = min(
+        cfg.match_max_epochs,
+        max(cfg.match_epochs, -(-cfg.match_min_steps // steps_per_epoch)),
+    )
     m.fit(
         Xs,
         Xt,
@@ -252,7 +256,9 @@ def evaluate_matcher(
 
 
 class ActiveLearner:
-    """Algorithm 2: balanced, informative, diverse sampling."""
+    """Algorithm 2: balanced, informative, diverse sampling. ``l_pos``,
+    ``l_neg`` and ``pool`` (U) index the rows of ``cand``; ``dist[i]`` is
+    Eq. 6's d of pair ``pool[i]``."""
 
     def __init__(
         self,
@@ -263,7 +269,6 @@ class ActiveLearner:
         *,
         seed: int = 0,
         max_pool: int = 60_000,
-        matcher_epochs: int | None = None,
     ):
         self.tensors = tensors
         self.labeler = labeler
@@ -271,47 +276,43 @@ class ActiveLearner:
         self.cfg = cfg
         self.seed = seed
         self.max_pool = max_pool
-        self.matcher_epochs = matcher_epochs
         self.rng = np.random.default_rng(seed)
-        self.l_pos: pd.DataFrame | None = None
-        self.l_neg: pd.DataFrame | None = None
-        self.pool: pd.DataFrame | None = None
+        self.cand: pd.DataFrame | None = None
+        self.l_pos: np.ndarray | None = None
+        self.l_neg: np.ndarray | None = None
+        self.pool: np.ndarray | None = None
+        self.dist: np.ndarray | None = None
         self.matcher: SiameseMatcher | None = None
         self.kde: GaussianKDE | None = None
-        self.history: list[dict] = []
 
     # ---- setup ------------------------------------------------------------
     def bootstrap(self, candidates: pd.DataFrame, *, n_pos: int = 15, n_neg: int = 15) -> BootstrapResult:
         res = al_bootstrap(candidates, self.labeler, n_pos=n_pos, n_neg=n_neg)
-        self.l_pos, self.l_neg = res.l_pos, res.l_neg
-        pool = res.unlabeled
+        self.cand = res.cand[["id_a", "id_b"]]
+        self.l_pos, self.l_neg, pool = res.l_pos, res.l_neg, res.unlabeled
         if len(pool) > self.max_pool:
-            pool = pool.sample(n=self.max_pool, random_state=self.seed)
-        self.pool = pool.reset_index(drop=True)
+            # The draw of `DataFrame.sample(n=max_pool, random_state=seed)`.
+            draw = np.random.RandomState(self.seed).choice(len(pool), self.max_pool, replace=False)
+            pool = pool[draw]
+        self.pool = pool
+        self.dist = self.tensors.pair_euclid(*self.cand.take(pool).to_numpy().T)
         self._retrain()
         return res
 
     def _retrain(self) -> None:
-        pairs = pd.concat([self.l_pos, self.l_neg], ignore_index=True)
+        pairs = self.cand.take(np.concatenate([self.l_pos, self.l_neg]))
         labels = np.concatenate(
             [np.ones(len(self.l_pos)), np.zeros(len(self.l_neg))]
         )
         self.matcher = train_matcher(
-            self.tensors,
-            pairs,
-            labels,
-            self.encoder_state,
-            self.cfg,
-            seed=self.seed,
-            epochs=self.matcher_epochs,
+            self.tensors, pairs, labels, self.encoder_state, self.cfg, seed=self.seed
         )
         self.kde = self._kde_from_l_pos()
 
     def _kde_from_l_pos(self) -> GaussianKDE:
         """Eq. 6: sample z around each L+ member's latent Gaussian and KDE
         the resulting Euclidean distances."""
-        ida = self.l_pos["id_a"].to_numpy()
-        idb = self.l_pos["id_b"].to_numpy()
+        ida, idb = self.cand.take(self.l_pos).to_numpy().T
         mu_s, sg_s, mu_t, sg_t = self.tensors.pair_latents(ida, idb)
         # Bound total KDE samples so pdf evaluation over a large unlabeled
         # pool stays O(pool * 4000) regardless of how much L+ grows.
@@ -328,14 +329,12 @@ class ActiveLearner:
         if not len(self.pool):
             return 0
         eps = 1e-9
-        p = predict_pairs(self.matcher, self.tensors, self.pool)
+        u = self.cand.take(self.pool)
+        p = predict_pairs(self.matcher, self.tensors, u)
         p_c = np.clip(p, eps, 1 - eps)
         # Eq. 5: entropy of the predicted class probability.
         entropy = -(p_c * np.log(p_c) + (1 - p_c) * np.log(1 - p_c))
-        d = self.tensors.pair_euclid(
-            self.pool["id_a"].to_numpy(), self.pool["id_b"].to_numpy()
-        )
-        f_plus = self.kde.pdf(d) + eps
+        f_plus = self.kde.pdf(self.dist) + eps
         is_pos = p > 0.5
 
         spi = self.cfg.al_samples_per_iteration
@@ -359,19 +358,12 @@ class ActiveLearner:
             chosen.extend(int(i) for i in pick)
             taken[pick] = True
 
-        sel = self.pool.iloc[chosen]
-        labels = self.labeler.label(sel["id_a"].to_numpy(), sel["id_b"].to_numpy())
-        self.l_pos = pd.concat(
-            [self.l_pos, sel[labels == 1]], ignore_index=True
-        )
-        self.l_neg = pd.concat(
-            [self.l_neg, sel[labels == 0]], ignore_index=True
-        )
-        self.pool = self.pool.drop(self.pool.index[chosen]).reset_index(drop=True)
+        sel = self.pool[chosen]
+        labels = self.labeler.label(*u.to_numpy()[chosen].T)
+        self.l_pos = np.concatenate([self.l_pos, sel[labels == 1]])
+        self.l_neg = np.concatenate([self.l_neg, sel[labels == 0]])
+        self.pool, self.dist = self.pool[~taken], self.dist[~taken]
         self._retrain()
-        self.history.append(
-            {"labeled": len(sel), "n_pos": len(self.l_pos), "n_neg": len(self.l_neg)}
-        )
         return len(sel)
 
     def run(self, budget: int) -> SiameseMatcher:

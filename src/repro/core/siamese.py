@@ -197,7 +197,7 @@ class SiameseMatcher:
         index = inverse.reshape(index.shape)
         rng = np.random.default_rng(seed)
         params, grads = pack(self.layers)
-        opt = Adam([params], lr=lr)
+        opt = Adam(params, lr=lr)
         losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -209,7 +209,7 @@ class SiameseMatcher:
                     rows[used], batch.reshape(2, len(idx), -1), y[idx]
                 )
                 total += loss * len(idx)
-                opt.step([grads])
+                opt.step(grads)
             losses.append(total / n)
         return losses
 

@@ -206,7 +206,7 @@ class VAE:
         X = np.asarray(X, dtype=self.dtype)
         rng = np.random.default_rng(seed)
         params, grads = pack(self.layers)
-        opt = Adam([params], lr=lr)
+        opt = Adam(params, lr=lr)
         losses = []
         n = len(X)
         for _ in range(epochs):
@@ -216,6 +216,6 @@ class VAE:
                 idx = order[start : start + batch_size]
                 loss, _, _ = self.loss_and_grads(X[idx], rng)
                 total += loss * len(idx)
-                opt.step([grads])
+                opt.step(grads)
             losses.append(total / n)
         return losses

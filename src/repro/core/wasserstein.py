@@ -22,7 +22,7 @@ def w2_squared(
     Shapes ``(..., k)`` -> ``(...)``. ``sigma`` is the (positive) standard
     deviation diagonal, as produced by the variational encoder.
     """
-    return ((mu_p - mu_q) ** 2 + (sigma_p - sigma_q) ** 2).sum(axis=-1)
+    return w2_vector(mu_p, sigma_p, mu_q, sigma_q).sum(axis=-1)
 
 
 def w2_vector(

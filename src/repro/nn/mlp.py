@@ -98,7 +98,7 @@ class MLPClassifier:
         y = np.asarray(y, dtype=self.dtype)
         rng = np.random.default_rng(seed)
         params, grads = pack(self.layers)
-        opt = Adam([params], lr=lr)
+        opt = Adam(params, lr=lr)
         losses = []
         n = len(X)
         for _ in range(epochs):
@@ -112,7 +112,7 @@ class MLPClassifier:
                 # Mean BCE through a sigmoid: dL/dlogit = (p - y) / batch.
                 # The input is data, so dL/dinput is skipped.
                 self.backward_from_logit_grad((p - yb) / len(yb), input_grad=False)
-                opt.step([grads])
+                opt.step(grads)
             losses.append(epoch_loss / n)
         return losses
 

@@ -91,6 +91,14 @@ class TestRows:
         with pytest.raises(KeyError):
             t._rows("a", np.array([3, unknown, 9]))
 
+    def test_pair_euclid_is_chunk_free(self):
+        """Gathering the means a chunk at a time gives the one-pass numpy
+        distance, bit for bit, across a chunk boundary (10,000 pairs)."""
+        tensors, _, cand = _toy_world(n=100)
+        ida, idb = cand["id_a"].to_numpy(), cand["id_b"].to_numpy()
+        want = np.sqrt(((tensors.mu["a"][ida] - tensors.mu["b"][idb]) ** 2).sum(axis=-1))
+        assert np.array_equal(tensors.pair_euclid(ida, idb), want)
+
 
 class TestOracleLabeler:
     def test_labels_and_counts(self):
@@ -111,31 +119,30 @@ class TestBootstrap:
             al_bootstrap(c, OracleLabeler(truth), n_pos=5, n_neg=5)
             for c in (cand, cand.sample(frac=1.0, random_state=3))
         ]
+        pd.testing.assert_frame_equal(got[0].cand, got[1].cand)
         for f in ("l_pos", "l_neg", "unlabeled"):
-            pd.testing.assert_frame_equal(getattr(got[0], f), getattr(got[1], f))
+            assert np.array_equal(getattr(got[0], f), getattr(got[1], f))
 
     def test_sets_partition_candidates(self):
         _, truth, cand = _toy_world()
         res = al_bootstrap(cand, OracleLabeler(truth), n_pos=5, n_neg=5)
         assert len(res.l_pos) == 5 and len(res.l_neg) == 5
-        assert len(res.unlabeled) <= len(cand) - 10
+        rows = np.concatenate([res.l_pos, res.l_neg, res.unlabeled])
+        assert np.array_equal(np.sort(rows), np.arange(len(cand)))
 
     def test_positives_are_true_duplicates(self):
         _, truth, cand = _toy_world()
         res = al_bootstrap(cand, OracleLabeler(truth), n_pos=5, n_neg=5)
+        pos = res.cand.take(res.l_pos)
         truth_set = set(zip(truth["id_a"], truth["id_b"]))
-        assert all(
-            (a, b) in truth_set for a, b in zip(res.l_pos["id_a"], res.l_pos["id_b"])
-        )
+        assert all((a, b) in truth_set for a, b in zip(pos["id_a"], pos["id_b"]))
 
     def test_negatives_are_true_negatives(self):
         _, truth, cand = _toy_world()
         res = al_bootstrap(cand, OracleLabeler(truth), n_pos=5, n_neg=5)
+        neg = res.cand.take(res.l_neg)
         truth_set = set(zip(truth["id_a"], truth["id_b"]))
-        assert all(
-            (a, b) not in truth_set
-            for a, b in zip(res.l_neg["id_a"], res.l_neg["id_b"])
-        )
+        assert all((a, b) not in truth_set for a, b in zip(neg["id_a"], neg["id_b"]))
 
     def test_positive_w2_below_negative_w2(self):
         """Alg. 1 intuition: L+ comes from the small-distance end."""
@@ -145,8 +152,9 @@ class TestBootstrap:
             (a, b): w
             for a, b, w in zip(cand["id_a"], cand["id_b"], cand["w2"])
         }
-        max_pos = max(w2[(a, b)] for a, b in zip(res.l_pos["id_a"], res.l_pos["id_b"]))
-        min_neg = min(w2[(a, b)] for a, b in zip(res.l_neg["id_a"], res.l_neg["id_b"]))
+        pos, neg = res.cand.take(res.l_pos), res.cand.take(res.l_neg)
+        max_pos = max(w2[(a, b)] for a, b in zip(pos["id_a"], pos["id_b"]))
+        min_neg = min(w2[(a, b)] for a, b in zip(neg["id_a"], neg["id_b"]))
         assert max_pos < min_neg
 
     def test_false_positive_removal_counted(self):
@@ -159,10 +167,25 @@ class TestBootstrap:
         )
         res = al_bootstrap(poisoned, OracleLabeler(truth), n_pos=5, n_neg=5)
         assert res.n_false_pos_removed >= 1
+        pos = res.cand.take(res.l_pos)
         truth_set = set(zip(truth["id_a"], truth["id_b"]))
-        assert all(
-            (a, b) in truth_set for a, b in zip(res.l_pos["id_a"], res.l_pos["id_b"])
-        )
+        assert all((a, b) in truth_set for a, b in zip(pos["id_a"], pos["id_b"]))
+
+    def test_queries_count_only_inspected_pairs(self):
+        """A head without positives extends to the second positive (rows
+        3 and 5); the tail scan then reads 3 negatives. Row 6, a true
+        pair, is never shown to the user."""
+        truth = pd.DataFrame({"id_a": [0, 1, 2], "id_b": [0, 1, 2]})
+        cand = pd.DataFrame({
+            "id_a": [50, 51, 52, 0, 53, 1, 2, 54, 55, 56],
+            "id_b": [1, 2, 3, 0, 4, 1, 2, 5, 6, 7],
+            "w2": np.arange(10.0),
+        })
+        labeler = OracleLabeler(truth)
+        res = al_bootstrap(cand, labeler, n_pos=2, n_neg=3)
+        assert res.l_pos.tolist() == [3, 5] and res.l_neg.tolist() == [9, 8, 7]
+        assert res.n_false_pos_removed == 2
+        assert labeler.n_queries == 2 + 4 + 3
 
 
 class TestMatcherHelpers:
@@ -200,10 +223,10 @@ class TestMatcherHelpers:
 
 
 class TestActiveLearner:
-    def _learner(self, seed=0):
+    def _learner(self, seed=0, **kw):
         tensors, truth, cand = _toy_world(seed=seed)
         labeler = OracleLabeler(truth)
-        al = ActiveLearner(tensors, labeler, _enc_state(), _CFG, seed=seed)
+        al = ActiveLearner(tensors, labeler, _enc_state(), _CFG, seed=seed, **kw)
         return al, cand, truth
 
     def test_bootstrap_initialises_state(self):
@@ -225,9 +248,10 @@ class TestActiveLearner:
         al.bootstrap(cand, n_pos=5, n_neg=5)
         al.step()
         truth_set = set(zip(truth["id_a"], truth["id_b"]))
-        for a, b in zip(al.l_pos["id_a"], al.l_pos["id_b"]):
+        pos, neg = al.cand.take(al.l_pos), al.cand.take(al.l_neg)
+        for a, b in zip(pos["id_a"], pos["id_b"]):
             assert (a, b) in truth_set
-        for a, b in zip(al.l_neg["id_a"], al.l_neg["id_b"]):
+        for a, b in zip(neg["id_a"], neg["id_b"]):
             assert (a, b) not in truth_set
 
     def test_run_respects_budget(self):
@@ -258,5 +282,62 @@ class TestActiveLearner:
     def test_empty_pool_stops(self):
         al, cand, _ = self._learner()
         al.bootstrap(cand.head(12), n_pos=5, n_neg=5)
-        al.pool = al.pool.head(0)
+        al.pool, al.dist = al.pool[:0], al.dist[:0]
         assert al.step() == 0
+
+    def test_max_pool_caps_pool(self):
+        """A pool above ``max_pool`` is capped by `DataFrame.sample`'s
+        seeded draw of the unlabeled candidates, disjoint from L."""
+        pools = []
+        for _ in range(2):
+            al, cand, _ = self._learner(max_pool=100)
+            res = al.bootstrap(cand, n_pos=5, n_neg=5)
+            assert len(res.unlabeled) > 100 and len(al.pool) == 100
+            assert not set(al.pool) & (set(al.l_pos) | set(al.l_neg))
+            u = al.cand.take(al.pool)
+            want = al.tensors.pair_euclid(u["id_a"].to_numpy(), u["id_b"].to_numpy())
+            assert np.array_equal(al.dist, want)
+            pools.append(al.pool)
+        assert np.array_equal(pools[0], pools[1])
+        want = pd.Series(res.unlabeled).sample(n=100, random_state=0).to_numpy()
+        assert np.array_equal(pools[0], want)
+
+
+# (id_a, id_b) chosen by each of the first three Algorithm 2 steps on
+# `_toy_world(seed)`, bootstrapped with 5 + 5 pairs, as recorded from the
+# frame-based implementation; after each step every seed has the same
+# (n_queries, |L+|, |L-|, |U|).
+_GOLDEN_PICKS = {
+    0: [
+        [(27, 27), (21, 21), (13, 31), (25, 31), (38, 12), (28, 18), (54, 34), (46, 39)],
+        [(28, 28), (29, 29), (24, 31), (54, 31), (29, 57), (30, 27), (21, 46), (0, 40)],
+        [(3, 3), (19, 19), (39, 40), (21, 52), (35, 58), (32, 19), (34, 38), (47, 26)],
+    ],
+    1: [
+        [(4, 4), (14, 14), (10, 2), (2, 10), (35, 33), (31, 0), (23, 15), (6, 49)],
+        [(11, 11), (23, 23), (15, 58), (15, 1), (53, 48), (29, 44), (53, 0), (41, 30)],
+        [(21, 21), (10, 10), (1, 15), (32, 15), (37, 30), (1, 48), (38, 48), (39, 57)],
+    ],
+    2: [
+        [(13, 13), (18, 18), (26, 50), (19, 46), (50, 16), (39, 5), (53, 7), (46, 40)],
+        [(9, 9), (16, 16), (26, 46), (5, 26), (41, 48), (22, 52), (18, 46), (54, 29)],
+        [(21, 21), (1, 1), (23, 9), (9, 23), (38, 13), (50, 32), (20, 57), (42, 27)],
+    ],
+}
+_GOLDEN_COUNTS = [(18, 7, 11, 3582), (26, 9, 17, 3574), (34, 11, 23, 3566)]
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_PICKS))
+def test_algorithm2_picks_are_golden(seed):
+    tensors, truth, cand = _toy_world(seed=seed)
+    labeler = OracleLabeler(truth)
+    al = ActiveLearner(tensors, labeler, _enc_state(), _CFG, seed=seed)
+    al.bootstrap(cand, n_pos=5, n_neg=5)
+    assert (labeler.n_queries, len(al.l_pos), len(al.l_neg), len(al.pool)) == (10, 5, 5, 3590)
+    asked = []
+    label = labeler.label
+    labeler.label = lambda a, b: asked.append(list(zip(a.tolist(), b.tolist()))) or label(a, b)
+    for picks, counts in zip(_GOLDEN_PICKS[seed], _GOLDEN_COUNTS):
+        assert al.step() == len(picks)
+        assert asked[-1] == picks
+        assert (labeler.n_queries, len(al.l_pos), len(al.l_neg), len(al.pool)) == counts

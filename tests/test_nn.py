@@ -74,33 +74,33 @@ class TestDense:
 class TestAdam:
     def test_minimises_quadratic(self):
         p = np.array([5.0, -3.0])
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p, lr=0.1)
         for _ in range(500):
-            opt.step([2 * p])  # grad of ||p||^2
+            opt.step(2 * p)  # grad of ||p||^2
         assert np.abs(p).max() < 1e-3
 
     def test_updates_in_place(self):
         p = np.ones(2)
         ref = p
-        Adam([p], lr=0.1).step([np.ones(2)])
+        Adam(p, lr=0.1).step(np.ones(2))
         assert ref is p and not np.allclose(p, 1.0)
 
     def test_bias_correction_first_step(self):
         # First Adam step magnitude is ~lr regardless of gradient scale.
         p = np.zeros(1)
-        Adam([p], lr=0.01).step([np.array([1e-4])])
+        Adam(p, lr=0.01).step(np.array([1e-4]))
         assert abs(p[0]) == pytest.approx(0.01, rel=1e-3)
 
     def test_step_count_advances(self):
-        opt = Adam([np.zeros(1)])
-        opt.step([np.zeros(1)])
-        opt.step([np.zeros(1)])
+        opt = Adam(np.zeros(1))
+        opt.step(np.zeros(1))
+        opt.step(np.zeros(1))
         assert opt.t == 2
 
     def test_shape_mismatch_raises(self):
-        opt = Adam([np.zeros(2)])
+        opt = Adam(np.zeros(2))
         with pytest.raises(AssertionError):
-            opt.step([np.zeros(2), np.zeros(2)])
+            opt.step(np.zeros(3))
 
 
 class TestMLP:
@@ -199,19 +199,15 @@ class TestAdamBuffers:
         """The buffer-reusing step reproduces the allocating textbook
         update exactly over many float64 steps."""
         rng = np.random.default_rng(7)
-        shapes = [(5, 3), (3,), (1,)]
-        params = [rng.normal(size=s) for s in shapes]
-        ref = [p.copy() for p in params]
-        m = [np.zeros_like(p) for p in ref]
-        v = [np.zeros_like(p) for p in ref]
-        opt = Adam(params, lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
+        p = rng.normal(size=(5, 3))
+        ref, m, v = [p.copy()], [np.zeros_like(p)], [np.zeros_like(p)]
+        opt = Adam(p, lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
         for t in range(1, 51):
-            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-4, 2) for s in shapes]
-            opt.step(grads)
-            _textbook_step(ref, m, v, grads, t)
-            assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
-        assert all(np.array_equal(a, b) for a, b in zip(opt.m, m))
-        assert all(np.array_equal(a, b) for a, b in zip(opt.v, v))
+            g = rng.normal(size=p.shape) * 10.0 ** rng.integers(-4, 2, size=(5, 1))
+            opt.step(g)
+            _textbook_step(ref, m, v, [g], t)
+            assert np.array_equal(p, ref[0]), t
+        assert np.array_equal(opt.m, m[0]) and np.array_equal(opt.v, v[0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flat_buffer_matches_textbook_per_array_update(self, dtype):
@@ -225,20 +221,20 @@ class TestAdamBuffers:
         ref = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
-        opt = Adam([flat], lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
+        opt = Adam(flat, lr=_LR, beta1=_B1, beta2=_B2, eps=_EPS)
         for t in range(1, 51):
             for g in grads:
                 g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-4, 2)
-            opt.step([grad])
+            opt.step(grad)
             _textbook_step(ref, m, v, grads, t)
             assert all(np.array_equal(p, r) for p, r in zip(params, ref)), t
-        assert all(p.dtype == dtype for p in [*ref, *m, *v, *opt.m, *opt.v])
+        assert all(p.dtype == dtype for p in [*ref, *m, *v, opt.m, opt.v])
 
     def test_keeps_float32(self):
         p = np.ones(4, dtype=np.float32)
-        opt = Adam([p])
-        opt.step([np.full(4, 0.5, dtype=np.float32)])
-        assert p.dtype == opt.m[0].dtype == opt.v[0].dtype == np.float32
+        opt = Adam(p)
+        opt.step(np.full(4, 0.5, dtype=np.float32))
+        assert p.dtype == opt.m.dtype == opt.v.dtype == np.float32
 
 
 class TestPack:

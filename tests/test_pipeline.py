@@ -138,7 +138,6 @@ class TestMatchingPipeline:
             tiny_rep.vae.encoder.state(),
             small_cfg,
             seed=0,
-            matcher_epochs=80,
         )
         boot = al.bootstrap(cand, n_pos=8, n_neg=8)
         assert len(boot.l_pos) > 0 and len(boot.l_neg) > 0

@@ -136,7 +136,7 @@ class TestLossAndGradients:
 
         monkeypatch.setattr(Encoder, "forward", rec_fwd)
         # Record each step's gradient; the weights stay put.
-        monkeypatch.setattr(Adam, "step", lambda self, grads: got.append(grads[0].copy()))
+        monkeypatch.setattr(Adam, "step", lambda self, grad: got.append(grad.copy()))
         losses = sm.fit(Xs, Xt, y, epochs=1, batch_size=5, seed=18)
         order = np.random.default_rng(18).permutation(len(y))
         total = 0.0
@@ -240,11 +240,11 @@ class TestFloat32:
         seen: set[np.dtype] = set()
         step, fwd, bwd = Adam.step, Dense.forward, Dense.backward
 
-        def rec_step(self, grads):
+        def rec_step(self, grad):
             if self not in opts:
                 opts.append(self)
-            seen.update(g.dtype for g in grads)
-            step(self, grads)
+            seen.add(grad.dtype)
+            step(self, grad)
 
         def rec_fwd(self, x):
             seen.add(x.dtype)
@@ -277,7 +277,7 @@ class TestFloat32:
         assert len(opts) == 3
         arrays = [*vae.params, *vae.grads, *sm.params, *sm.grads, *mlp.params, *mlp.grads]
         for opt in opts:
-            arrays += [*opt.m, *opt.v]
+            arrays += [opt.m, opt.v]
         assert {a.dtype for a in arrays} | seen == {np.dtype(np.float32)}
         assert sm.forward(Xs, Xt).dtype == np.float32
 
