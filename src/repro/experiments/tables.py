@@ -1,13 +1,16 @@
 """Reproduction harnesses for the paper's evaluation tables (§VI).
 
 Each function returns a pandas DataFrame whose rows mirror the paper's
-table layout; `jobs/` wraps them for spark-submit (`jobs/run_all.py`
-prints each table's wall time), and EXPERIMENTS.md records their output
-next to the paper's numbers.
+table layout. `TABLES` maps each table id to its harness, its results
+file and the column groups it prints; `jobs/run_all.py` runs them and
+writes `results/`, and EXPERIMENTS.md records their output next to the
+paper's numbers.
 """
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -15,6 +18,7 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.baselines import BASELINES
+from repro.baselines.matchers import gather_pair_values
 from repro.core.active import (
     ActiveLearner,
     OracleLabeler,
@@ -24,10 +28,15 @@ from repro.core.active import (
 from repro.core.config import VaerConfig
 from repro.core.encode import irs_as_representations
 from repro.core.lsh import topk_pairs
-from repro.core.metrics import matcher_prf, topk_prf
-from repro.core.pipeline import domain_tensors, learn_representations
+from repro.core.metrics import PRF, matcher_prf, topk_prf
+from repro.core.pipeline import (
+    RepresentationResult,
+    domain_tensors,
+    learn_representations,
+)
 from repro.core.vae import VAE
 from repro.datasets.generate import ERDomainData, er_domain
+from repro.datasets.spec import AttrSpec
 from repro.ir import IR_KINDS
 
 ALL_DOMAINS = (
@@ -41,6 +50,32 @@ ALL_DOMAINS = (
     "stocks",
     "crm",
 )
+K = 10  # neighbours per tuple in Tables IV and VII (§VI-B)
+TRANSFER_SOURCE = "citations2"  # Table VII's source domain (§VI-D)
+PAPER_BUDGET = 250  # Table VIII's label budget at sf=1
+
+
+def _fit_full(
+    rep: RepresentationResult,
+    train_pdf: pd.DataFrame,
+    test_pdf: pd.DataFrame,
+    cfg: VaerConfig,
+    seed: int,
+) -> tuple[PRF, float]:
+    """Train the Siamese matcher on every train pair; return its test
+    P/R/F1 and the training seconds."""
+    tensors = domain_tensors(rep)
+    t0 = time.perf_counter()
+    matcher = train_matcher(
+        tensors,
+        train_pdf,
+        train_pdf["label"].to_numpy(),
+        rep.vae.encoder.state(),
+        cfg,
+        seed=seed,
+    )
+    seconds = time.perf_counter() - t0
+    return evaluate_matcher(matcher, tensors, test_pdf), seconds
 
 
 # --------------------------------------------------------------------------
@@ -79,10 +114,9 @@ def table4_representation(
     domains: tuple[str, ...] = ALL_DOMAINS,
     kinds: tuple[str, ...] = IR_KINDS,
     cfg: VaerConfig = VaerConfig(),
-    k: int = 10,
 ) -> pd.DataFrame:
     """For each domain x IR kind: nearest-neighbour P/R/F1 on raw IRs vs
-    on VAER latent representations (exact W2 top-k)."""
+    on VAER latent representations (exact W2 top-``K``)."""
     rows = []
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
@@ -90,8 +124,8 @@ def table4_representation(
         for kind in kinds:
             rep = learn_representations(data, kind=kind, cfg=cfg, seed=seed)
             raw = irs_as_representations(spark, domain_tensors(rep))
-            prf_ir = topk_prf(topk_pairs(raw, k=k), test)
-            prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=k), test)
+            prf_ir = topk_prf(topk_pairs(raw, k=K), test)
+            prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=K), test)
             rows.append(
                 {
                     "domain": name,
@@ -126,21 +160,9 @@ def table5_table6_matching(
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
         rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed)
-        tensors = domain_tensors(rep)
         train_pdf = data.train.toPandas()
         test_pdf = data.test.toPandas()
-
-        t0 = time.perf_counter()
-        matcher = train_matcher(
-            tensors,
-            train_pdf,
-            train_pdf["label"].to_numpy(),
-            rep.vae.encoder.state(),
-            cfg,
-            seed=seed,
-        )
-        match_seconds = time.perf_counter() - t0
-        prf = evaluate_matcher(matcher, tensors, test_pdf)
+        prf, match_seconds = _fit_full(rep, train_pdf, test_pdf, cfg, seed)
         row = {
             "domain": name,
             "vaer_P": prf.precision,
@@ -152,8 +174,6 @@ def table5_table6_matching(
 
         a_pdf = data.a.toPandas()
         b_pdf = data.b.toPandas()
-        from repro.baselines.matchers import gather_pair_values
-
         tr_s, tr_t = gather_pair_values(a_pdf, b_pdf, train_pdf, data.attrs)
         te_s, te_t = gather_pair_values(a_pdf, b_pdf, test_pdf, data.attrs)
         y_tr = train_pdf["label"].to_numpy()
@@ -179,9 +199,7 @@ def table5_table6_matching(
 # --------------------------------------------------------------------------
 # Table VII — representation model transferability
 # --------------------------------------------------------------------------
-def pad_to_arity(
-    spark: SparkSession, data: ERDomainData, arity: int
-) -> ERDomainData:
+def pad_to_arity(data: ERDomainData, arity: int) -> ERDomainData:
     """Restrict/pad a domain to a fixed arity (§VI-D protocol: take the
     first ``arity`` columns; pad narrower tables with empty columns)."""
     attrs = data.attrs[:arity]
@@ -192,9 +210,6 @@ def pad_to_arity(
         for p in pad:
             out = out.withColumn(p, F.lit(""))
         return out
-
-    from dataclasses import replace
-    from repro.datasets.spec import AttrSpec
 
     schema = tuple(
         [s for s in data.spec.schema[:arity]]
@@ -217,37 +232,27 @@ def table7_transfer(
     *,
     sf: float = 1.0,
     seed: int = 0,
-    source: str = "citations2",
-    domains: tuple[str, ...] = tuple(d for d in ALL_DOMAINS if d != "citations2"),
+    domains: tuple[str, ...] = tuple(d for d in ALL_DOMAINS if d != TRANSFER_SOURCE),
     cfg: VaerConfig = VaerConfig(),
-    k: int = 10,
 ) -> pd.DataFrame:
-    """Train the representation model on ``source`` (paper: Citations 2),
+    """Train the representation model on `TRANSFER_SOURCE` (Citations 2),
     transfer it to every other domain, and compare recall@K and matching
     F1 against a locally trained representation model."""
-    src = er_domain(spark, source, sf=sf, seed=seed)
+    src = er_domain(spark, TRANSFER_SOURCE, sf=sf, seed=seed)
     arity = src.spec.arity
     transferred: VAE = learn_representations(src, kind="lsa", cfg=cfg, seed=seed).vae
 
     rows = []
     for name in domains:
         raw = er_domain(spark, name, sf=sf, seed=seed)
-        data = pad_to_arity(spark, raw, arity)
+        data = pad_to_arity(raw, arity)
+        train_pdf = data.train.toPandas()
+        test_pdf = data.test.toPandas()
         out = {"domain": name}
         for mode, vae in (("local", None), ("transf", transferred)):
             rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed, vae=vae)
-            prf = topk_prf(topk_pairs(rep.reps_df, k=k), data.test)
-            tensors = domain_tensors(rep)
-            train_pdf = data.train.toPandas()
-            matcher = train_matcher(
-                tensors,
-                train_pdf,
-                train_pdf["label"].to_numpy(),
-                rep.vae.encoder.state(),
-                cfg,
-                seed=seed,
-            )
-            mprf = evaluate_matcher(matcher, tensors, data.test.toPandas())
+            prf = topk_prf(topk_pairs(rep.reps_df, k=K), data.test)
+            mprf, _ = _fit_full(rep, train_pdf, test_pdf, cfg, seed)
             out[f"recall_{mode}"] = prf.recall
             out[f"f1_{mode}"] = mprf.f1
         out["recall_delta"] = out["recall_transf"] - out["recall_local"]
@@ -266,14 +271,13 @@ def table8_active_learning(
     seed: int = 0,
     domains: tuple[str, ...] = ALL_DOMAINS,
     cfg: VaerConfig = VaerConfig(),
-    label_budget: int = 250,
 ) -> pd.DataFrame:
     """Bootstrap (Alg. 1) vs actively labeled (Alg. 2) vs full training.
 
-    ``label_budget`` is the paper's 250 at sf=1; it scales with ``sf`` so
-    the Training%% column keeps the paper's ratios at reduced scale.
+    The paper's budget of `PAPER_BUDGET` labels at sf=1 scales with ``sf``,
+    so the Training%% column keeps the paper's ratios at reduced scale.
     """
-    budget = max(24, int(round(label_budget * sf)))
+    budget = max(24, int(round(PAPER_BUDGET * sf)))
     rows = []
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
@@ -283,25 +287,15 @@ def table8_active_learning(
         truth_pdf = data.truth.toPandas()
         test_pdf = data.test.toPandas()
         train_pdf = data.train.toPandas()
-        enc_state = rep.vae.encoder.state()
 
         labeler = OracleLabeler(truth_pdf)
-        learner = ActiveLearner(tensors, labeler, enc_state, cfg, seed=seed)
+        learner = ActiveLearner(tensors, labeler, rep.vae.encoder.state(), cfg, seed=seed)
         boot = learner.bootstrap(cand)
         prf_boot = evaluate_matcher(learner.matcher, tensors, test_pdf)
 
         learner.run(budget)
         prf_al = evaluate_matcher(learner.matcher, tensors, test_pdf)
-
-        full = train_matcher(
-            tensors,
-            train_pdf,
-            train_pdf["label"].to_numpy(),
-            enc_state,
-            cfg,
-            seed=seed,
-        )
-        prf_full = evaluate_matcher(full, tensors, test_pdf)
+        prf_full, _ = _fit_full(rep, train_pdf, test_pdf, cfg, seed)
 
         rows.append(
             {
@@ -324,3 +318,44 @@ def table8_active_learning(
             }
         )
     return pd.DataFrame(rows)
+
+
+# --------------------------------------------------------------------------
+# Registry — the tables `jobs/run_all.py` runs and writes to `results/`
+# --------------------------------------------------------------------------
+@dataclass(frozen=True)
+class Table:
+    """A harness, the stem of its results file, and the column groups it
+    prints as (title, column suffixes); no suffixes means every column."""
+
+    harness: Callable[..., pd.DataFrame]
+    stem: str
+    groups: tuple[tuple[str, tuple[str, ...]], ...] = (("", ()),)
+
+    def filename(self, sf: float) -> str:
+        return f"{self.stem}_sf{sf:g}.txt"
+
+    def render(self, df: pd.DataFrame) -> str:
+        blocks = []
+        for title, suffixes in self.groups:
+            cols = [c for c in df.columns if not suffixes or c == "domain" or c.endswith(suffixes)]
+            body = df[cols].round(2).to_string(index=False)
+            blocks.append(f"# {title}\n{body}" if title else body)
+        return "\n\n".join(blocks)
+
+
+TABLES: dict[str, Table] = {
+    "II": Table(table2_datasets, "table2"),
+    "IV": Table(table4_representation, "table4"),
+    # Tables V and VI come from one run.
+    "V": Table(
+        table5_table6_matching,
+        "table5_6",
+        (
+            ("Table V (effectiveness)", ("_P", "_R", "_F1")),
+            ("Table VI (training seconds, same run)", ("_s",)),
+        ),
+    ),
+    "VII": Table(table7_transfer, "table7"),
+    "VIII": Table(table8_active_learning, "table8"),
+}

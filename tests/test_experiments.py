@@ -72,11 +72,11 @@ class TestTable7:
         from repro.datasets.generate import er_domain
 
         d = er_domain(spark, "crm", sf=0.03, seed=0)  # arity 12
-        narrowed = pad_to_arity(spark, d, 4)
+        narrowed = pad_to_arity(d, 4)
         assert len(narrowed.attrs) == 4
         assert narrowed.a.columns == ["id", *narrowed.attrs]
         d2 = er_domain(spark, "cosmetics", sf=0.01, seed=0)  # arity 3
-        widened = pad_to_arity(spark, d2, 4)
+        widened = pad_to_arity(d2, 4)
         assert len(widened.attrs) == 4
         assert widened.a.select(widened.attrs[-1]).first()[0] == ""
 
@@ -93,7 +93,6 @@ class TestTable8:
     def test_structure_and_budget(self, spark):
         df = table8_active_learning(
             spark, sf=_SF, domains=("restaurants",), cfg=_CFG,
-            label_budget=250,
         )
         row = df.iloc[0]
         assert row["budget"] == max(24, round(250 * _SF))
