@@ -323,8 +323,9 @@ class ActiveLearner:
         return GaussianKDE(d_plus)
 
     # ---- one Algorithm 2 iteration -----------------------------------------
-    def step(self) -> int:
-        """Select/label `al_samples_per_iteration` pairs; returns #labeled."""
+    def step(self, n: int | None = None) -> int:
+        """Select and label ``n`` pairs (default `al_samples_per_iteration`);
+        returns #labeled."""
         assert self.pool is not None and self.matcher is not None
         if not len(self.pool):
             return 0
@@ -337,7 +338,7 @@ class ActiveLearner:
         f_plus = self.kde.pdf(self.dist) + eps
         is_pos = p > 0.5
 
-        spi = self.cfg.al_samples_per_iteration
+        spi = self.cfg.al_samples_per_iteration if n is None else n
         base, rem = divmod(spi, 4)
         quotas = [base + (1 if i < rem else 0) for i in range(4)]
         scores = [
@@ -367,10 +368,11 @@ class ActiveLearner:
         return len(sel)
 
     def run(self, budget: int) -> SiameseMatcher:
-        """Label up to ``budget`` pairs in Algorithm 2 iterations."""
+        """Label ``budget`` pairs in Algorithm 2 iterations (fewer if U runs
+        out); the last iteration labels only what the budget has left."""
         used = 0
         while used < budget:
-            got = self.step()
+            got = self.step(min(self.cfg.al_samples_per_iteration, budget - used))
             if got == 0:
                 break
             used += got

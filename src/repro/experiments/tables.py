@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
@@ -276,6 +275,8 @@ def table8_active_learning(
 
     The paper's budget of `PAPER_BUDGET` labels at sf=1 scales with ``sf``,
     so the Training%% column keeps the paper's ratios at reduced scale.
+    Training%% counts Algorithm 2's labels only; ``boot_queries`` is what
+    Algorithm 1 asked the user first.
     """
     budget = max(24, int(round(PAPER_BUDGET * sf)))
     rows = []
@@ -291,6 +292,7 @@ def table8_active_learning(
         labeler = OracleLabeler(truth_pdf)
         learner = ActiveLearner(tensors, labeler, rep.vae.encoder.state(), cfg, seed=seed)
         boot = learner.bootstrap(cand)
+        boot_queries = labeler.n_queries
         prf_boot = evaluate_matcher(learner.matcher, tensors, test_pdf)
 
         learner.run(budget)
@@ -312,6 +314,7 @@ def table8_active_learning(
                 "f1_pct": prf_al.f1 / prf_full.f1 if prf_full.f1 else float("nan"),
                 "training_pct": budget / len(train_pdf),
                 "budget": budget,
+                "boot_queries": boot_queries,
                 "boot_fp_removed": boot.n_false_pos_removed,
                 "boot_pos": len(boot.l_pos),
                 "boot_neg": len(boot.l_neg),

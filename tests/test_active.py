@@ -261,6 +261,16 @@ class TestActiveLearner:
         al.run(budget=16)
         assert al.labeler.n_queries - q0 == 16
 
+    def test_run_stops_at_budget_mid_iteration(self):
+        """A budget that is not a multiple of the per-iteration quota is
+        met exactly: the last step labels only what is left."""
+        al, cand, _ = self._learner()
+        al.bootstrap(cand, n_pos=5, n_neg=5)
+        q0, labeled0 = al.labeler.n_queries, len(al.l_pos) + len(al.l_neg)
+        al.run(budget=25)
+        assert al.labeler.n_queries - q0 == 25
+        assert len(al.l_pos) + len(al.l_neg) - labeled0 == 25
+
     def test_al_improves_over_bootstrap(self):
         al, cand, truth = self._learner(seed=3)
         al.bootstrap(cand, n_pos=4, n_neg=4)

@@ -97,6 +97,7 @@ class TestTable8:
         row = df.iloc[0]
         assert row["budget"] == max(24, round(250 * _SF))
         assert row["boot_pos"] > 0 and row["boot_neg"] > 0
+        assert row["boot_queries"] >= row["boot_pos"] + row["boot_neg"]
         for col in ("boot_F1", "al_F1", "full_F1"):
             assert 0 <= row[col] <= 1
         assert row["training_pct"] > 0
