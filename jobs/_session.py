@@ -1,7 +1,8 @@
 """Shared spark-submit session builder for the job entrypoints.
 
 Mirrors the test fixture's configuration (Arrow on, broadcast joins off,
-bounded shuffle partitions) so job results match test behaviour.
+bounded shuffle partitions, UI off) so job results match test behaviour
+and two jobs can run side by side without contending for the UI port.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ def build_session(app: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

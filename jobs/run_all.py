@@ -5,13 +5,15 @@
 Runs the chosen harnesses of `repro.experiments.tables.TABLES` (all of
 them by default), prints each table and writes it to
 ``<out>/<stem>_sf<sf>.txt`` under a ``#`` header that names the command,
-the commit, sf, seed, domains, ``PYTHONHASHSEED`` and the table's wall
-time. The generated data depend on the hash seed, so it must be fixed.
+the commit, sf, seed, domains, ``PYTHONHASHSEED``, the table's wall
+time and the driver process's peak resident memory so far (``ru_maxrss``,
+in MB). The generated data depend on the hash seed, so it must be fixed.
 """
 from __future__ import annotations
 
 import os
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
@@ -79,7 +81,10 @@ def main(argv: list[str] | None = None) -> None:
         t0 = time.perf_counter()
         df = table.harness(spark, **kw)
         wall = f"wall: {time.perf_counter() - t0:.1f} s (Table {tid})"
-        text = "".join(f"# {h}\n" for h in [*header, wall]) + "\n" + table.render(df) + "\n"
+        # ru_maxrss is in KiB on Linux.
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        rss = f"peak RSS: {peak:.0f} MB (driver process, so far)"
+        text = "".join(f"# {h}\n" for h in [*header, wall, rss]) + "\n" + table.render(df) + "\n"
         (args.out / table.filename(args.sf)).write_text(text)
         print(text, flush=True)
 

@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro.core import config
 from repro.core.config import VaerConfig
 from repro.core.kde import GaussianKDE
 from repro.core.metrics import PRF, matcher_prf
 from repro.core.siamese import SiameseMatcher
-from repro.core.wasserstein import euclidean_sq_means
+from repro.core.vae import encode_irs
+from repro.core.wasserstein import euclidean_sq_means, w2_vector
 
 
 @dataclass
@@ -40,8 +42,8 @@ class DomainTensors:
 
     ``irs[t]`` is (n_t, m, d) float32, the IRs as collected once by
     `pipeline.learn_representations`; ``mu[t]``/``sigma[t]`` are the
-    float64 (n_t, m*k) encodings of those same rows. Ids are unique per
-    table; `_rows` maps them to row indices.
+    (n_t, m*k) encodings of those same rows, in the encoder's float32.
+    Ids are unique per table; `_rows` maps them to row indices.
     """
 
     ids: dict[str, np.ndarray]
@@ -100,13 +102,20 @@ class DomainTensors:
         return self.mu["a"][ra], self.sigma["a"][ra], self.mu["b"][rb], self.sigma["b"][rb]
 
     def pair_euclid(self, id_a: np.ndarray, id_b: np.ndarray) -> np.ndarray:
-        """Euclidean distance of the pairs' means, gathered 8192 pairs at a time."""
-        ra, rb = self._rows("a", id_a), self._rows("b", id_b)
-        out = np.empty(len(ra))
-        for start in range(0, len(ra), 8192):
-            c = slice(start, start + 8192)
-            out[c] = euclidean_sq_means(self.mu["a"][ra[c]], self.mu["b"][rb[c]])
-        return np.sqrt(out)
+        """Euclidean distance of the pairs' means, in float64 (Eq. 6's d).
+
+        Works a block of pairs at a time, sized by `config.BLOCK_BYTES`,
+        so its memory beyond the result does not grow with the number of
+        pairs; each pair's distance is the same whatever block it is in.
+        """
+        mu_a, mu_b = self.mu["a"], self.mu["b"]
+        out = np.empty(len(id_a))
+        step = config.block_rows(8 * mu_a.shape[1])
+        for start in range(0, len(out), step):
+            c = slice(start, start + step)
+            ra, rb = self._rows("a", id_a[c]), self._rows("b", id_b[c])
+            out[c] = euclidean_sq_means(mu_a[ra], mu_b[rb])
+        return np.sqrt(out, out=out)
 
 
 class OracleLabeler:
@@ -232,19 +241,29 @@ def predict_pairs(
 ) -> np.ndarray:
     """P(match) over a pair frame.
 
-    Each distinct tuple is encoded once; the encodings are then gathered
-    per pair and scored in chunks of ``chunk`` pairs.
+    Each distinct tuple is encoded once (`encode_irs`). The MLP scores
+    ``chunk`` pairs per call, from one input buffer that the Distance
+    layer fills in place a block of pairs at a time (`config.BLOCK_BYTES`).
+    Beyond the tuples' encodings and one score per pair, the memory used
+    does not grow with the number of pairs.
     """
     ua, ia = np.unique(tensors._rows("a", pairs["id_a"].to_numpy()), return_inverse=True)
     ub, ib = np.unique(tensors._rows("b", pairs["id_b"].to_numpy()), return_inverse=True)
-    mu_a, sg_a = matcher.encode(tensors.irs["a"][ua])
-    mu_b, sg_b = matcher.encode(tensors.irs["b"][ub])
-    out = np.empty(len(pairs))
-    for start in range(0, len(pairs), chunk):
-        a, b = ia[start : start + chunk], ib[start : start + chunk]
-        out[start : start + chunk] = matcher.proba_from_latents(
-            mu_a[a], sg_a[a], mu_b[b], sg_b[b]
-        )
+    state = matcher.encoder.state()
+    mu_a, sg_a = encode_irs(state, tensors.irs["a"][ua])
+    mu_b, sg_b = encode_irs(state, tensors.irs["b"][ub])
+    n = len(pairs)
+    out = np.empty(n)
+    buf = np.empty((min(chunk, n), mu_a.shape[1]), mu_a.dtype)
+    step = config.block_rows(buf.strides[0])
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        x = buf[: stop - start]
+        for s in range(start, stop, step):
+            e = min(s + step, stop)
+            a, b = ia[s:e], ib[s:e]
+            w2_vector(mu_a[a], sg_a[a], mu_b[b], sg_b[b], out=x[s - start : e - start])
+        out[start:stop] = matcher.mlp.forward(x)
     return out
 
 
@@ -317,9 +336,14 @@ class ActiveLearner:
         # Bound total KDE samples so pdf evaluation over a large unlabeled
         # pool stays O(pool * 4000) regardless of how much L+ grows.
         n = min(self.cfg.kde_samples_per_pair, max(1, 4000 // len(ida)))
-        zs = mu_s[None] + sg_s[None] * self.rng.standard_normal((n, *mu_s.shape))
-        zt = mu_t[None] + sg_t[None] * self.rng.standard_normal((n, *mu_t.shape))
-        d_plus = np.sqrt(euclidean_sq_means(zs, zt)).ravel()
+        # z = mu + sigma * eps, formed in the buffer eps is drawn into.
+        zs = self.rng.standard_normal((n, *mu_s.shape))
+        zs *= sg_s
+        zs += mu_s
+        zt = self.rng.standard_normal((n, *mu_t.shape))
+        zt *= sg_t
+        zt += mu_t
+        d_plus = np.sqrt(euclidean_sq_means(zs, zt, out=zs)).ravel()
         return GaussianKDE(d_plus)
 
     # ---- one Algorithm 2 iteration -----------------------------------------

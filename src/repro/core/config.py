@@ -44,3 +44,15 @@ class VaerConfig:
 
 
 DEFAULT = VaerConfig()
+
+# Bytes per block of every pass over the unlabeled pool U or over D+
+# (`DomainTensors.pair_euclid`, the Distance layer of `predict_pairs`,
+# `GaussianKDE.pdf`): each pass's working memory is a small multiple of
+# it, whatever the pool size. Not a `VaerConfig` field: no result
+# depends on it.
+BLOCK_BYTES = 1 << 22
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each per block (at least one)."""
+    return max(1, BLOCK_BYTES // row_bytes)

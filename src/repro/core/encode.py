@@ -1,18 +1,19 @@
-"""Entity encoding (§III-A inference path) and the representation frames.
+"""The latent representations as Spark frames, for top-k blocking.
 
 The trained variational encoder is tiny (a few hundred KB of weights),
 and every IR is collected to the driver anyway, for the matcher and the
 active-learning loop. Encoding therefore runs there, over the collected
-``(n, arity, ir_dim)`` IR array, with the same `encode_with_state` the
-matcher uses. Spark gets the result back as a frame for top-k blocking.
+``(n, arity, ir_dim)`` IR array, with `vae.encode_irs`, the chunked
+encoder the matcher also scores pairs with. This module gives Spark the
+result back as a frame.
 
 Representations are stored *flattened*: ``mu``/``sigma`` are arrays of
 length arity*latent — the concatenation of the per-attribute vectors.
 W2 over the concatenation equals the sum of per-attribute W2 terms, so
 all downstream distance math (Eq. 3, the Distance layer, top-k blocking)
-works directly on the flat form. The frames hold them as ``array<float>``:
-the encoder computes in float32, so the driver's float64 tensors hold
-float32 values and the cast loses nothing.
+works directly on the flat form. The encoder computes in float32, and
+both the driver tensors (`DomainTensors`) and the frames (``array<float>``)
+keep its float32 values as they are.
 """
 from __future__ import annotations
 
@@ -21,26 +22,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.active import DomainTensors
-from repro.core.vae import encode_with_state
 from repro.ir.api import float_lists
-
-# Attribute values per encoder call: bounds the hidden-layer temporaries.
-_CHUNK = 1 << 16
-
-
-def encode_irs(
-    encoder_state: dict[str, np.ndarray], irs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m, d) IRs -> float64 (mu, sigma), each (n, m*k)."""
-    n, m, d = irs.shape
-    flat = irs.reshape(n * m, d)
-    k = encoder_state["mu_W"].shape[1]
-    mu, sigma = np.empty((n * m, k)), np.empty((n * m, k))
-    for s in range(0, n * m, _CHUNK):
-        mu[s : s + _CHUNK], sigma[s : s + _CHUNK] = encode_with_state(
-            encoder_state, flat[s : s + _CHUNK]
-        )
-    return mu.reshape(n, m * k), sigma.reshape(n, m * k)
 
 
 def _frame(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import config
+
 
 class GaussianKDE:
     """Fit on 1-d samples; evaluate the density pointwise."""
@@ -26,14 +28,23 @@ class GaussianKDE:
         self.bandwidth = max(0.9 * spread * n ** (-0.2), min_bandwidth)
 
     def pdf(self, x: np.ndarray | float) -> np.ndarray:
-        """Mean-of-kernels density estimate; broadcasts over ``x``."""
+        """Mean-of-kernels density estimate; broadcasts over ``x``.
+
+        Evaluated a block of points at a time, each block against every
+        sample: its two (points, samples) buffers stay within a small
+        multiple of `config.BLOCK_BYTES`, and each point's kernel sum is
+        the same whatever block it is in.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         h = self.bandwidth
-        # Chunk to bound the (len(x), n_samples) intermediate.
         out = np.empty(len(x))
         norm = 1.0 / (len(self.samples) * h * np.sqrt(2 * np.pi))
-        for start in range(0, len(x), 8192):
-            xs = x[start : start + 8192, None]
-            z = (xs - self.samples[None, :]) / h
-            out[start : start + 8192] = norm * np.exp(-0.5 * z * z).sum(axis=1)
+        step = config.block_rows(self.samples.nbytes)
+        for start in range(0, len(x), step):
+            z = np.subtract(x[start : start + step, None], self.samples)
+            z /= h
+            k = np.multiply(-0.5, z)
+            k *= z
+            np.exp(k, out=k)
+            out[start : start + step] = norm * k.sum(axis=1)
         return out

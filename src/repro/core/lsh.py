@@ -23,13 +23,16 @@ The search runs on the driver, which holds every representation anyway:
 A probe side that fits in one GEMM block is one chunk, run inline. A
 larger one is cut into one contiguous chunk per core, run on a thread
 pool: numpy releases the interpreter lock in the GEMM, the partitions
-and the comparisons.
+and the comparisons. The pool is created once per process and kept:
+each new thread would leave its own malloc arena behind, so a fresh
+pool per call grows the resident memory with every call.
 
 The module keeps its historical name: the paper blocks with LSH, which a
 search without approximation makes unnecessary at Table II scale.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -127,6 +130,13 @@ def _first_k(grp: np.ndarray, w2: np.ndarray, tie: np.ndarray, k: int) -> np.nda
     return _ranks(np.lexsort((tie, w2, grp)), grp) < k
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's pool of ``workers`` threads (one per core), created
+    on first use and kept."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="topk")
+
+
 def _step(X: np.ndarray) -> int:
     """Probe rows per GEMM block."""
     return max(1, _BLOCK_CELLS // max(X.shape))
@@ -191,11 +201,13 @@ def topk_pairs(reps: DataFrame, *, k: int = 10) -> DataFrame:
     if len(P) <= _step(X):
         parts = [_chunk(P, 0, len(P), X, sq_x, k)]
     else:
-        cuts = np.linspace(0, len(P), min(len(os.sched_getaffinity(0)), len(P)) + 1).astype(int)
-        with ThreadPoolExecutor(len(cuts) - 1) as pool:
-            parts = list(
-                pool.map(lambda lo, hi: _chunk(P, lo, hi, X, sq_x, k), cuts[:-1], cuts[1:])
+        workers = len(os.sched_getaffinity(0))
+        cuts = np.linspace(0, len(P), min(workers, len(P)) + 1).astype(int)
+        parts = list(
+            _pool(workers).map(
+                lambda lo, hi: _chunk(P, lo, hi, X, sq_x, k), cuts[:-1], cuts[1:]
             )
+        )
     r, c, w2, top = (np.concatenate(x) for x in zip(*parts))
     # Per index row: its k best by (w2, probe id), plus the flagged pairs.
     keep = top | _first_k(c, w2, P.ids[r], k)

@@ -16,8 +16,8 @@ from pyspark.sql import DataFrame
 
 from repro.core.active import DomainTensors
 from repro.core.config import VaerConfig
-from repro.core.encode import encode_irs, representations_frame
-from repro.core.vae import VAE
+from repro.core.encode import representations_frame
+from repro.core.vae import VAE, encode_irs
 from repro.datasets.generate import ERDomainData
 from repro.ir import build_irs, ir_tensor
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.vae import Encoder, encode_with_state
+from repro.core.vae import Encoder
 from repro.core.wasserstein import w2_vector
 from repro.nn.adam import Adam
 from repro.nn.layers import Dense, pack
@@ -97,23 +97,6 @@ class SiameseMatcher:
         p = self.mlp.forward(dvec.reshape(B, m * k))
         self._cache = dict(enc=enc, pair=pair, dvec=dvec)
         return p
-
-    def encode(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tuples' IRs (n, m, d) -> latent (mu, sigma), each (n, m, k).
-
-        Inference only: nothing is cached for backward.
-        """
-        n, m, d = X.shape
-        mu, sigma = encode_with_state(self.encoder.state(), X.reshape(n * m, d))
-        return mu.reshape(n, m, self.latent), sigma.reshape(n, m, self.latent)
-
-    def proba_from_latents(
-        self, mu_s: np.ndarray, sg_s: np.ndarray, mu_t: np.ndarray, sg_t: np.ndarray
-    ) -> np.ndarray:
-        """P(match) from both sides' encodings (B, m, k): the Distance
-        layer and the MLP of `forward`, for pairs gathered from `encode`."""
-        B, m, k = mu_s.shape
-        return self.mlp.forward(w2_vector(mu_s, sg_s, mu_t, sg_t).reshape(B, m * k))
 
     # ---- loss + backward (Eq. 4) ----------------------------------------------
     def loss_and_grads(

@@ -102,6 +102,31 @@ def encode_with_state(
     return mu, np.exp(0.5 * logvar)
 
 
+# Attribute values per encoder call: bounds the hidden-layer temporaries.
+# An encoder GEMM row does not depend on how many rows go in with it.
+_CHUNK = 1 << 13
+
+
+def encode_irs(
+    state: dict[str, np.ndarray], irs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tuples' IRs (n, m, d) -> (mu, sigma), each (n, m*k) in the weights'
+    dtype: every attribute value through `encode_with_state`, ``_CHUNK``
+    values per call. The representation model encodes every tuple with
+    it (`pipeline.learn_representations`), the matcher the tuples of the
+    pairs it scores (`active.predict_pairs`)."""
+    n, m, d = irs.shape
+    flat = irs.reshape(n * m, d)
+    k = state["mu_W"].shape[1]
+    dtype = state["h_W"].dtype
+    mu, sigma = np.empty((n * m, k), dtype), np.empty((n * m, k), dtype)
+    for s in range(0, n * m, _CHUNK):
+        mu[s : s + _CHUNK], sigma[s : s + _CHUNK] = encode_with_state(
+            state, flat[s : s + _CHUNK]
+        )
+    return mu.reshape(n, m * k), sigma.reshape(n, m * k)
+
+
 class VAE:
     """Encoder + reparameterised sampling + decoder, trained on IRs."""
 

@@ -26,17 +26,37 @@ def w2_squared(
 
 
 def w2_vector(
-    mu_p: np.ndarray, sigma_p: np.ndarray, mu_q: np.ndarray, sigma_q: np.ndarray
+    mu_p: np.ndarray,
+    sigma_p: np.ndarray,
+    mu_q: np.ndarray,
+    sigma_q: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The per-dimension distance vector d = (mu^s-mu^t)^2 + (sig^s-sig^t)^2.
 
     This is the *Distance* layer of Figure 3: attribute-wise vectors that
-    are concatenated and fed to the matching MLP. Shape-preserving.
+    are concatenated and fed to the matching MLP. Shape-preserving; the
+    result is written to ``out`` when it is given.
     """
-    return (mu_p - mu_q) ** 2 + (sigma_p - sigma_q) ** 2
+    d = np.subtract(mu_p, mu_q, out=out)
+    np.square(d, out=d)
+    s = np.subtract(sigma_p, sigma_q)
+    np.square(s, out=s)
+    return np.add(d, s, out=d)
 
 
-def euclidean_sq_means(mu_p: np.ndarray, mu_q: np.ndarray) -> np.ndarray:
+def euclidean_sq_means(
+    mu_p: np.ndarray, mu_q: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Squared Euclidean distance of means — the LSH surrogate of §V-A and
-    the sampled distance of Eq. 6."""
-    return ((mu_p - mu_q) ** 2).sum(axis=-1)
+    the sampled distance of Eq. 6 — along the last axis, in float64.
+
+    The inputs are upcast before they are subtracted, so float32 means give
+    the distance of their float64 values. ``out``, a float64 array of the
+    inputs' broadcast shape (it may be one of them), receives the squared
+    differences instead of a new array.
+    """
+    d = np.subtract(mu_p, mu_q, out=out, dtype=np.float64)
+    np.square(d, out=d)
+    return d.sum(axis=-1)

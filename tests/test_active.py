@@ -1,19 +1,25 @@
 """Tests for active learning (§V, Algorithms 1 & 2)."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import config
 from repro.core.active import (
     ActiveLearner,
     DomainTensors,
     OracleLabeler,
     al_bootstrap,
     evaluate_matcher,
+    predict_pairs,
     train_matcher,
 )
 from repro.core.config import VaerConfig
+from repro.core.kde import GaussianKDE
+from repro.core.siamese import SiameseMatcher
 
 
 def _toy_world(seed=0, n=60, m=2, d=6, k=4):
@@ -91,13 +97,99 @@ class TestRows:
         with pytest.raises(KeyError):
             t._rows("a", np.array([3, unknown, 9]))
 
-    def test_pair_euclid_is_chunk_free(self):
-        """Gathering the means a chunk at a time gives the one-pass numpy
-        distance, bit for bit, across a chunk boundary (10,000 pairs)."""
+    def test_pair_euclid_is_chunk_free(self, monkeypatch):
+        """Gathering float32 means a block at a time gives the one-pass
+        numpy distance of their float64 values, bit for bit, across block
+        boundaries (10,000 pairs, 1,000 per block)."""
         tensors, _, cand = _toy_world(n=100)
+        tensors.mu = {t: x.astype(np.float32) for t, x in tensors.mu.items()}
         ida, idb = cand["id_a"].to_numpy(), cand["id_b"].to_numpy()
-        want = np.sqrt(((tensors.mu["a"][ida] - tensors.mu["b"][idb]) ** 2).sum(axis=-1))
+        mu = {t: x.astype(np.float64) for t, x in tensors.mu.items()}
+        want = np.sqrt(((mu["a"][ida] - mu["b"][idb]) ** 2).sum(axis=-1))
+        monkeypatch.setattr(config, "BLOCK_BYTES", 1000 * 8 * mu["a"].shape[1])
         assert np.array_equal(tensors.pair_euclid(ida, idb), want)
+
+
+class TestBlocks:
+    """Every pass over the pool works in blocks of `config.BLOCK_BYTES`:
+    one row per block gives the default budget's results bit for bit, and
+    the memory a pass needs beyond its result does not grow with the pool."""
+
+    @staticmethod
+    def _both(monkeypatch, fn):
+        """``fn()`` under the default budget, then under one row per block."""
+        want = fn()
+        monkeypatch.setattr(config, "BLOCK_BYTES", 1)
+        return want, fn()
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pair_euclid(self, monkeypatch):
+        tensors, _, cand = _toy_world()
+        ida, idb = cand["id_a"].to_numpy(), cand["id_b"].to_numpy()
+        want, got = self._both(monkeypatch, lambda: tensors.pair_euclid(ida, idb))
+        assert np.array_equal(got, want)
+
+    def test_predict_pairs(self, monkeypatch):
+        tensors, _, cand = _toy_world()
+        m = SiameseMatcher(_enc_state(), arity=2, hidden=8, seed=0)
+        want, got = self._both(monkeypatch, lambda: predict_pairs(m, tensors, cand))
+        assert np.array_equal(got, want)
+
+    def test_kde_pdf(self, monkeypatch):
+        tensors, _, cand = _toy_world()
+        d = tensors.pair_euclid(cand["id_a"].to_numpy(), cand["id_b"].to_numpy())
+        kde = GaussianKDE(d[:50])
+        want, got = self._both(monkeypatch, lambda: kde.pdf(d))
+        assert np.array_equal(got, want)
+
+    def test_bootstrap_and_two_steps(self, monkeypatch):
+        def run():
+            tensors, truth, cand = _toy_world(seed=1)
+            al = ActiveLearner(tensors, OracleLabeler(truth), _enc_state(), _CFG, seed=1)
+            al.bootstrap(cand, n_pos=5, n_neg=5)
+            al.step()
+            al.step()
+            return al.l_pos, al.l_neg, al.pool, al.dist, al.kde.samples
+
+        want, got = self._both(monkeypatch, run)
+        for w, g in zip(want, got):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("blocks", [2, 20])
+    def test_pair_euclid_memory(self, monkeypatch, blocks):
+        rng = np.random.default_rng(0)
+        n, dim = 300, 16
+        mu = {t: rng.normal(size=(n, dim)).astype(np.float32) for t in "ab"}
+        tensors = DomainTensors(
+            ids={t: np.arange(n) for t in "ab"},
+            irs={t: np.zeros((n, 1, 1), np.float32) for t in "ab"},
+            mu=mu,
+            sigma=mu,
+        )
+        monkeypatch.setattr(config, "BLOCK_BYTES", 1 << 20)
+        pairs = blocks * config.block_rows(8 * dim)
+        ida, idb = rng.integers(0, n, pairs), rng.integers(0, n, pairs)
+        out, peak = self._peak(lambda: tensors.pair_euclid(ida, idb))
+        assert len(out) == pairs
+        assert peak < 4 * config.BLOCK_BYTES + out.nbytes
+
+    @pytest.mark.parametrize("blocks", [2, 20])
+    def test_kde_pdf_memory(self, monkeypatch, blocks):
+        rng = np.random.default_rng(0)
+        kde = GaussianKDE(rng.normal(size=1000))
+        monkeypatch.setattr(config, "BLOCK_BYTES", 1 << 20)
+        x = rng.normal(size=blocks * config.block_rows(kde.samples.nbytes))
+        out, peak = self._peak(lambda: kde.pdf(x))
+        assert len(out) == len(x)
+        assert peak < 4 * config.BLOCK_BYTES + out.nbytes
 
 
 class TestOracleLabeler:

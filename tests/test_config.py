@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -111,5 +112,6 @@ class TestRunAll:
         assert "# sf: 0.02, seed: 0, domains: restaurants\n" in header
         assert f"# PYTHONHASHSEED: {hash_seed}\n" in header
         assert "# wall: " in header
+        assert re.search(r"^# peak RSS: \d+ MB \(driver process, so far\)$", header, re.M)
         want = table2_datasets(spark, sf=0.02, domains=("restaurants",))
         assert body == TABLES["II"].render(want) + "\n"

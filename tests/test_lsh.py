@@ -51,6 +51,16 @@ def _brute(ids_a, mu_a, sg_a, ids_b, mu_b, sg_b, k):
     return keep
 
 
+def _float64(t):
+    """`_brute`'s inputs from driver tensors: their float32 latents upcast,
+    as the top-k computes W2 in float64."""
+    return [
+        x
+        for s in ("a", "b")
+        for x in (t.ids[s], t.mu[s].astype(np.float64), t.sigma[s].astype(np.float64))
+    ]
+
+
 def _got(df, k):
     return {(r["id_a"], r["id_b"]): r["w2"] for r in topk_pairs(df, k=k).collect()}
 
@@ -106,9 +116,7 @@ class TestExactTopKSwapped(TestExactTopK):
 class TestTopKEdgeCases:
     def test_real_domain_matches_brute_force(self, tiny_rep, tiny_tensors):
         t = tiny_tensors
-        want = _brute(
-            t.ids["a"], t.mu["a"], t.sigma["a"], t.ids["b"], t.mu["b"], t.sigma["b"], 10
-        )
+        want = _brute(*_float64(t), 10)
         got = _got(tiny_rep.reps_df, 10)
         assert set(got) == set(want)
         for pair, w2 in got.items():
@@ -170,6 +178,25 @@ class TestDriverKernel:
         want = _brute_frame(_brute(*_sides(rows), 3))
         pd.testing.assert_frame_equal(multi, want, check_exact=True)
 
+    def test_calls_reuse_one_thread_pool(self, spark, monkeypatch):
+        """Two threaded calls run their chunks on the same worker threads,
+        so no call leaves new threads (and their malloc arenas) behind."""
+        df, _ = _reps_df(spark, n_a=20, n_b=45, seed=15)
+        monkeypatch.setattr(lsh, "_BLOCK_CELLS", 20 * 4)
+        monkeypatch.setattr(lsh.os, "sched_getaffinity", lambda pid: {0, 1})
+        barrier, chunk, calls = threading.Barrier(2, timeout=30), lsh._chunk, []
+
+        def recorded_chunk(*args):
+            calls[-1].add(threading.current_thread())
+            barrier.wait()  # both chunks at once, on two threads
+            return chunk(*args)
+
+        monkeypatch.setattr(lsh, "_chunk", recorded_chunk)
+        for _ in range(2):
+            calls.append(set())
+            _sorted(df, 3)
+        assert len(calls[0]) == 2 and calls[1] == calls[0]
+
     def test_single_block_runs_inline(self, spark, monkeypatch):
         df, _ = _reps_df(spark, n_a=20, n_b=45, seed=13)
         threads, chunk = set(), lsh._chunk
@@ -214,7 +241,7 @@ class TestGeneratedDomains:
         t = domain_tensors_sf01
         if cells:
             monkeypatch.setattr(lsh, "_BLOCK_CELLS", cells)
-        want = _brute(t.ids["a"], t.mu["a"], t.sigma["a"], t.ids["b"], t.mu["b"], t.sigma["b"], 10)
+        want = _brute(*_float64(t), 10)
         got = _got(encode.representations_frame(spark, t), 10)
         assert set(got) == set(want)
         for pair, w2 in got.items():
